@@ -7,6 +7,11 @@
 //   - they only exist for unguided traversals, and any stack-carried
 //     argument must be recomputable from the node (BH needs node depths).
 //
+// The static-ropes rows run the stackless variants with the shared-memory
+// node cache off: descend to n+1, escape through the installed rope[n],
+// exactly the prior-work walk. Install time is host wall-clock, so it
+// lives in its own table that only --json-volatile reports carry.
+//
 // The second table sweeps the stackless variant family (escape-index
 // ropes and, on fanout-2 trees, Wald-style index arithmetic) against the
 // shared-memory node cache that reuses the bytes the per-warp rope stack
@@ -23,7 +28,6 @@
 #include "bench_algos/pc/point_correlation.h"
 #include "bench_common.h"
 #include "core/gpu_executors.h"
-#include "core/ropes_executor.h"
 #include "core/static_ropes.h"
 #include "data/generators.h"
 #include "data/sorting.h"
@@ -35,27 +39,28 @@ using namespace tt;
 
 namespace {
 
-template <RopeCompatibleKernel K>
-void compare(const Cli& cli, Table& table, const std::string& bench,
-             bool sorted, const K& k, GpuAddressSpace& space,
-             const LinearTree& topo) {
+template <StacklessCompatibleKernel K>
+void compare(const Cli& cli, Table& table, Table& install,
+             const std::string& bench, bool sorted, const K& k,
+             GpuAddressSpace& space) {
   DeviceConfig cfg;
-  StaticRopes ropes = install_ropes(topo);
+  const std::string order = sorted ? "sorted" : "unsorted";
+  install.add_row({bench, order, fmt_fixed(k.ropes().install_ms, 3)});
   for (bool lockstep : {true, false}) {
     const Variant v =
         lockstep ? Variant::kAutoLockstep : Variant::kAutoNolockstep;
     if (!benchx::variant_enabled(cli, v)) continue;
+    GpuMode ropes = GpuMode::from(lockstep ? Variant::kStacklessLockstep
+                                           : Variant::kStacklessNolockstep);
+    ropes.smem_node_cache = false;
     auto ar = run_gpu_sim(k, space, cfg, GpuMode::from(v));
-    auto rp = run_gpu_ropes_sim(k, space, cfg, lockstep, ropes);
-    table.add_row({bench, sorted ? "sorted" : "unsorted",
-                   lockstep ? "L" : "N", "autoropes",
+    auto rp = run_gpu_sim(k, space, cfg, ropes);
+    table.add_row({bench, order, lockstep ? "L" : "N", "autoropes",
                    fmt_fixed(ar.time.total_ms, 3),
-                   std::to_string(ar.stats.dram_transactions), "0"});
-    table.add_row({bench, sorted ? "sorted" : "unsorted",
-                   lockstep ? "L" : "N", "static-ropes",
+                   std::to_string(ar.stats.dram_transactions)});
+    table.add_row({bench, order, lockstep ? "L" : "N", "static-ropes",
                    fmt_fixed(rp.time.total_ms, 3),
-                   std::to_string(rp.stats.dram_transactions),
-                   fmt_fixed(rp.install_ms, 3)});
+                   std::to_string(rp.stats.dram_transactions)});
   }
 }
 
@@ -63,56 +68,47 @@ void compare(const Cli& cli, Table& table, const std::string& bench,
 // runs with the node cache off, at fixed capacities, and at the default
 // sizing; the baseline for the speedup column is the autoropes
 // composition with the same convergence policy (per-warp shared-memory
-// rope stack). Kernels that cannot carry ropes contribute no rows.
-template <RopeCompatibleKernel K>
+// rope stack).
+template <StacklessCompatibleKernel K>
 void stackless_sweep(const Cli& cli, Table& table, const std::string& bench,
                      bool sorted, const K& k, GpuAddressSpace& space) {
-  if constexpr (StacklessCompatibleKernel<K>) {
-    DeviceConfig cfg;
-    struct CachePoint {
-      const char* label;  // "Cache(KiB)" cell
-      bool enabled;
-      std::size_t bytes;  // 0 => default sizing
-    };
-    constexpr CachePoint kPoints[] = {{"off", false, 0},
-                                      {"2", true, 2 * 1024},
-                                      {"8", true, 8 * 1024},
-                                      {"32", true, 32 * 1024},
-                                      {"auto", true, 0}};
-    for (Variant v : {Variant::kStacklessLockstep,
-                      Variant::kStacklessNolockstep, Variant::kIndexWalk}) {
-      if (!kernel_variant_eligible<K>(v)) continue;
-      if (!benchx::variant_enabled(cli, v)) continue;
-      const Variant base_v = variant_is_lockstep(v)
-                                 ? Variant::kAutoLockstep
-                                 : Variant::kAutoNolockstep;
-      auto base = run_gpu_sim(k, space, cfg, GpuMode::from(base_v));
-      for (const CachePoint& pt : kPoints) {
-        GpuMode mode = GpuMode::from(v);
-        mode.smem_node_cache = pt.enabled;
-        mode.cache_bytes = pt.bytes;
-        auto run = run_gpu_sim(k, space, cfg, mode);
-        const std::uint64_t lookups =
-            run.stats.smem_cache_hits + run.stats.smem_cache_misses;
-        const double hit_pct =
-            lookups == 0 ? 0.0
-                         : 100.0 * static_cast<double>(run.stats.smem_cache_hits) /
-                               static_cast<double>(lookups);
-        table.add_row(
-            {bench, sorted ? "sorted" : "unsorted", variant_name(v), pt.label,
-             fmt_fixed(run.time.total_ms, 3),
-             std::to_string(run.stats.dram_transactions), fmt_fixed(hit_pct, 1),
-             fmt_fixed(run.stats.bucket_cycles(CycleBucket::kStack), 0),
-             fmt_fixed(base.time.total_ms / run.time.total_ms, 3)});
-      }
+  DeviceConfig cfg;
+  struct CachePoint {
+    const char* label;  // "Cache(KiB)" cell
+    bool enabled;
+    std::size_t bytes;  // 0 => default sizing
+  };
+  constexpr CachePoint kPoints[] = {{"off", false, 0},
+                                    {"2", true, 2 * 1024},
+                                    {"8", true, 8 * 1024},
+                                    {"32", true, 32 * 1024},
+                                    {"auto", true, 0}};
+  for (Variant v : {Variant::kStacklessLockstep, Variant::kStacklessNolockstep,
+                    Variant::kIndexWalk}) {
+    if (!kernel_variant_eligible<K>(v)) continue;
+    if (!benchx::variant_enabled(cli, v)) continue;
+    const Variant base_v = variant_is_lockstep(v) ? Variant::kAutoLockstep
+                                                  : Variant::kAutoNolockstep;
+    auto base = run_gpu_sim(k, space, cfg, GpuMode::from(base_v));
+    for (const CachePoint& pt : kPoints) {
+      GpuMode mode = GpuMode::from(v);
+      mode.smem_node_cache = pt.enabled;
+      mode.cache_bytes = pt.bytes;
+      auto run = run_gpu_sim(k, space, cfg, mode);
+      const std::uint64_t lookups =
+          run.stats.smem_cache_hits + run.stats.smem_cache_misses;
+      const double hit_pct =
+          lookups == 0
+              ? 0.0
+              : 100.0 * static_cast<double>(run.stats.smem_cache_hits) /
+                    static_cast<double>(lookups);
+      table.add_row(
+          {bench, sorted ? "sorted" : "unsorted", variant_name(v), pt.label,
+           fmt_fixed(run.time.total_ms, 3),
+           std::to_string(run.stats.dram_transactions), fmt_fixed(hit_pct, 1),
+           fmt_fixed(run.stats.bucket_cycles(CycleBucket::kStack), 0),
+           fmt_fixed(base.time.total_ms / run.time.total_ms, 3)});
     }
-  } else {
-    (void)cli;
-    (void)table;
-    (void)bench;
-    (void)sorted;
-    (void)k;
-    (void)space;
   }
 }
 
@@ -123,7 +119,8 @@ int main(int argc, char** argv) {
   benchx::add_common_flags(cli);
   return benchx::run_main(cli, argc, argv, "ablation_ropes", [&]() -> int {
     Table table({"Benchmark", "Order", "Type", "Technique", "Time(ms)",
-                 "DRAM txn", "Install(ms)"});
+                 "DRAM txn"});
+    Table install({"Benchmark", "Order", "Install(ms)"});
     Table sweep({"Benchmark", "Order", "Variant", "Cache(KiB)", "Time(ms)",
                  "DRAM txn", "Hit%", "Stack cyc", "Speedup vs stack"});
     const auto n = static_cast<std::size_t>(cli.get_int("points"));
@@ -135,7 +132,7 @@ int main(int argc, char** argv) {
         float r = pc_pick_radius(pts, cli.get_double("pc-neighbors"), 21);
         GpuAddressSpace space;
         PointCorrelationKernel k(tree, pts, r, space);
-        compare(cli, table, "PointCorrelation", sorted, k, space, tree.topo);
+        compare(cli, table, install, "PointCorrelation", sorted, k, space);
         stackless_sweep(cli, sweep, "PointCorrelation", sorted, k, space);
       }
       {
@@ -146,17 +143,20 @@ int main(int argc, char** argv) {
         BarnesHutKernel k(tree, b.pos,
                           static_cast<float>(cli.get_double("theta")), 1e-4f,
                           space);
-        compare(cli, table, "Barnes-Hut", sorted, k, space, tree.topo);
+        compare(cli, table, install, "Barnes-Hut", sorted, k, space);
         stackless_sweep(cli, sweep, "Barnes-Hut", sorted, k, space);
       }
     }
     benchx::emit(table, cli.get_flag("csv"));
+    std::cout << "\n";
+    benchx::emit(install, cli.get_flag("csv"));
     if (sweep.rows() > 0) {
       std::cout << "\n";
       benchx::emit(sweep, cli.get_flag("csv"));
     }
     obs::RunReport report = benchx::make_report(cli, "ablation_ropes");
     report.add_table("ablation_ropes", table);
+    report.add_table("ropes_install", install, /*volatile_data=*/true);
     report.add_table("stackless_cache_sweep", sweep);
     if (!benchx::maybe_write_report(cli, report)) return 1;
     return 0;

@@ -28,9 +28,9 @@
 
 #include "bench_algos/register_kernels.h"
 #include "bench_common.h"
-#include "core/batch_scheduler.h"
 #include "core/kernel_factory.h"
 #include "core/profiler.h"
+#include "core/serving.h"
 #include "util/csv.h"
 
 using namespace tt;
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
             LaunchSpec{handle, &space, GpuMode::from(Variant::kAutoLockstep)},
             LaunchSpec{handle, &space,
                        GpuMode::from(Variant::kAutoNolockstep)}};
-        BatchRun run = run_gpu_batch(specs, dev);
+        const LaunchPool run = run_launch_pool(specs, dev);
         const LaunchResult& lock = run.launches[0];
         const LaunchResult& nolock = run.launches[1];
         const bool best_lockstep = lock.time.total_ms <= nolock.time.total_ms;

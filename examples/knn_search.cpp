@@ -13,7 +13,7 @@
 #include "bench_algos/knn/knn.h"
 #include "core/cpu_executors.h"
 #include "core/gpu_executors.h"
-#include "core/schedule.h"
+#include "core/ir/callset_analysis.h"
 #include "data/generators.h"
 #include "data/sorting.h"
 #include "spatial/kdtree.h"

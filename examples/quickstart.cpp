@@ -3,8 +3,9 @@
 // 1. Describe the traversal's structure (IR) and let the static call-set
 //    analysis classify it (section 3.2.1).
 // 2. Build the tree and the traversal kernel.
-// 3. Let the runtime profiler decide lockstep vs non-lockstep (section 4.4)
-//    and run the chosen variant on the simulated GPU.
+// 3. Run it on the simulated GPU as Variant::kAutoSelect: the launch
+//    samples a few adjacent traversals (section 4.4), then runs the
+//    lockstep or non-lockstep autoropes composition.
 // 4. Cross-check against the plain recursive CPU run.
 //
 // Build & run:  ./examples/quickstart
@@ -13,7 +14,7 @@
 #include "bench_algos/pc/point_correlation.h"
 #include "core/cpu_executors.h"
 #include "core/gpu_executors.h"
-#include "core/schedule.h"
+#include "core/ir/callset_analysis.h"
 #include "data/generators.h"
 #include "data/sorting.h"
 #include "spatial/kdtree.h"
@@ -38,14 +39,13 @@ int main() {
   GpuAddressSpace space;
   PointCorrelationKernel kernel(tree, pts, radius, space);
 
-  // --- 3. choose a variant and run on the simulated GPU ----------------
-  VariantDecision decision = decide_variant(kernel, report,
-                                            /*annotated equivalent=*/false);
-  std::printf("profiler similarity %.2f -> %s traversal\n",
-              decision.profiled_similarity,
-              decision.lockstep ? "lockstep" : "non-lockstep");
-  GpuRun<PointCorrelationKernel> gpu =
-      run_gpu_sim(kernel, space, DeviceConfig{}, decision.mode());
+  // --- 3. run on the simulated GPU, letting the launch pick the variant --
+  GpuRun<PointCorrelationKernel> gpu = run_gpu_sim(
+      kernel, space, DeviceConfig{}, GpuMode::from(Variant::kAutoSelect));
+  const SelectionInfo& sel = *gpu.selection;
+  std::printf("sampled similarity %.2f vs %.2f for random pairs -> %s\n",
+              sel.mean_similarity, sel.baseline_similarity,
+              variant_name(sel.chosen));
   std::printf("GPU(sim): %.3f ms modelled, %.0f nodes/point avg, "
               "%llu DRAM transactions\n",
               gpu.time.total_ms, gpu.avg_nodes(),

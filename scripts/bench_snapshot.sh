@@ -254,7 +254,8 @@ PY
 # (benchmark, order, variant) the modelled time, DRAM transactions,
 # node-cache hit rate, the stack bucket (pinned at zero for stackless
 # compositions) and the speedup over the per-warp shared-memory stack.
-# All modelled time; changes only when behavior does.
+# All modelled time except host_install_ms, the host wall-clock cost of
+# the static-ropes install pass, taken from the --json-volatile table.
 ropes_out="${4:-$repo/BENCH_ropes.json}"
 ropes_raw="$(mktemp /tmp/bench_snapshot_ropes_XXXX.json)"
 trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw"' EXIT
@@ -266,7 +267,8 @@ if [[ ! -x "$build/bench/ablation_ropes" ]]; then
 fi
 
 echo "== ablation_ropes (pc+bh, 512 points, stackless cache sweep) =="
-"$build/bench/ablation_ropes" --points=512 --json="$ropes_raw" >/dev/null
+"$build/bench/ablation_ropes" --points=512 --json="$ropes_raw" \
+  --json-volatile >/dev/null
 
 python3 - "$ropes_raw" "$ropes_out" <<'PY'
 import json, sys
@@ -281,9 +283,16 @@ def rows_as_dicts(table):
     header = table["header"]
     return [dict(zip(header, cells)) for cells in table["rows"]]
 
+# Host wall-clock of the install pass per (benchmark, order); autoropes
+# installs nothing.
+install = {
+    (r["Benchmark"], r["Order"]): float(r["Install(ms)"])
+    for r in rows_as_dicts(tables["ropes_install"])
+}
+
 snapshot = {
     "schema": "treetrav.bench_snapshot.ropes/v1",
-    "source": "ablation_ropes --points=512",
+    "source": "ablation_ropes --points=512 --json-volatile",
     "git_sha": report.get("git_sha", "unknown"),
     "ablation": [
         {
@@ -293,7 +302,8 @@ snapshot = {
             "technique": r["Technique"],
             "modelled_ms": float(r["Time(ms)"]),
             "dram_transactions": int(r["DRAM txn"]),
-            "install_ms": float(r["Install(ms)"]),
+            "host_install_ms": install[(r["Benchmark"], r["Order"])]
+            if r["Technique"] == "static-ropes" else 0.0,
         }
         for r in rows_as_dicts(tables["ablation_ropes"])
     ],

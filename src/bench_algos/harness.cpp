@@ -479,41 +479,41 @@ BatchResult run_batch(const BatchConfig& cfg) {
   out.variant = cfg.variant;
   out.policy = cfg.policy;
 
-  // Closed-batch serving session: everything admitted at t=0, drained as
-  // one wave -- byte-identical to the pre-session run_gpu_batch path.
-  ServingSession session(
-      ServingConfig::closed_batch(cfg.device, cfg.policy, cfg.items.size()));
+  // A closed batch: every launch known up front, simulated as one device
+  // residency (run_launch_pool), with the schedule accounting of the
+  // batch's launch shapes under the configured interleaving policy.
   std::vector<std::unique_ptr<PreparedKernel>> prepared;
+  std::vector<LaunchSpec> specs;
   // Per-launch profiler sinks; unique_ptrs keep the addresses handed to
   // the specs stable while the vector grows.
   std::vector<std::unique_ptr<obs::ProfileSink>> psinks;
   prepared.reserve(cfg.items.size());
+  specs.reserve(cfg.items.size());
   for (const BenchConfig& item : cfg.items) {
     prepared.push_back(prepare_kernel(item));
     PreparedKernel& pl = *prepared.back();
-    QuerySet q;
-    q.spec.kernel = pl.handle;
-    q.spec.space = &pl.space;
-    q.spec.mode = GpuMode::from(cfg.variant);
-    q.spec.mode.grid_limit = cfg.grid_limit;
-    q.spec.mode.profile_samples = item.profile_samples;
-    q.spec.mode.profile_seed = item.profile_seed;
-    q.upload_bytes = pl.upload_bytes;
-    q.download_bytes = pl.download_bytes;
-    if (cfg.chrome)
-      q.spec.trace = &cfg.chrome->begin_launch(pl.handle->name());
+    LaunchSpec spec;
+    spec.kernel = pl.handle;
+    spec.space = &pl.space;
+    spec.mode = GpuMode::from(cfg.variant);
+    spec.mode.grid_limit = cfg.grid_limit;
+    spec.mode.profile_samples = item.profile_samples;
+    spec.mode.profile_seed = item.profile_seed;
+    if (cfg.chrome) spec.trace = &cfg.chrome->begin_launch(pl.handle->name());
     if (cfg.profile) {
       psinks.push_back(std::make_unique<obs::ProfileSink>());
-      q.spec.profile = psinks.back().get();
+      spec.profile = psinks.back().get();
     }
-    session.submit(std::move(q), 0.0);
+    specs.push_back(std::move(spec));
   }
-  session.flush();
-  BatchRun run = session.take_closed_run();
-  out.residency = run.residency;
-  out.total_chunks = run.total_chunks;
-  out.rounds = run.rounds;
-  out.switches = run.switches;
+  LaunchPool run = run_launch_pool(specs, cfg.device);
+  BatchScheduler sched(cfg.policy);
+  for (const LaunchGeometry& shape : run.shapes) sched.add_launch(shape);
+  const BatchSchedule bs = sched.schedule();
+  out.residency = bs.residency;
+  out.total_chunks = bs.total_chunks;
+  out.rounds = bs.rounds;
+  out.switches = bs.switches;
   out.sim_wall_ms = run.sim_wall_ms;
 
   out.kernels.reserve(run.launches.size());

@@ -28,14 +28,12 @@
 // (rounds / switches) and the batch-level transfer amortization: one
 // launch overhead for the whole batch instead of one per kernel.
 //
-// Since the serving redesign (core/serving.h, DESIGN.md section 3.3) this
-// file is pure planning + the shared BatchRun result type. Execution
-// lives behind the admission--dispatch split: ServingSession admits
-// queries and drains waves, run_launch_pool simulates a wave's slots, and
-// each drained wave feeds its shapes back through BatchScheduler for the
-// accounting below. run_gpu_batch survives as a thin closed-batch adapter
-// over that session API (everything submitted at t=0, one wave),
-// byte-identical to the pre-redesign implementation.
+// This file is pure planning. Execution lives in the launch engine
+// (core/launch.h) behind the admission--dispatch split (core/serving.h,
+// DESIGN.md section 3.3): run_launch_pool simulates a batch's slots, and
+// its callers -- ServingSession per drained wave, the harness's closed
+// batch -- feed the launch shapes back through BatchScheduler for the
+// accounting below.
 #pragma once
 
 #include <cstdint>
@@ -128,28 +126,5 @@ struct DeviceAssignment {
 [[nodiscard]] DeviceAssignment assign_devices(std::span<const double> chunk_costs,
                                               std::size_t n_devices,
                                               BatchPolicy policy);
-
-// A batched run: per-launch isolated measurements + schedule accounting.
-struct BatchRun {
-  std::vector<LaunchResult> launches;
-  BatchPolicy policy = BatchPolicy::kRoundRobin;
-  std::size_t residency = 0;
-  std::size_t total_chunks = 0;
-  std::size_t rounds = 0;
-  std::size_t switches = 0;
-  double sim_wall_ms = 0;  // host cost of the simulation (diagnostic)
-};
-
-// The non-template sibling of run_gpu_sim: simulate every LaunchSpec as
-// one batched device residency. auto_select modes are resolved per launch
-// (sampling charged to that launch's cost model, like solo); a launch
-// whose rope stack overflows reports through LaunchResult::error --
-// prefixed with its kernel name and batch index -- without poisoning
-// sibling launches. Now a compatibility adapter over ServingSession's
-// closed-batch mode (defined in core/serving.cpp); byte-identical to the
-// pre-session implementation.
-[[nodiscard]] BatchRun run_gpu_batch(std::span<const LaunchSpec> specs,
-                                     const DeviceConfig& cfg,
-                                     BatchPolicy policy = BatchPolicy::kRoundRobin);
 
 }  // namespace tt

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
-
-#include <omp.h>
 
 #include "core/serving.h"
 #include "obs/chrome_trace.h"
@@ -118,10 +117,12 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
   else
     out.merged.per_point_visits.assign(n, 0);
 
-  const double cycles_per_ms = cfg.device.clock_ghz * 1e6;
   out.devices.reserve(cfg.devices);
   std::size_t cum_points = 0;  // exact byte partition across devices
-  bool sampling_charged = false;
+  // The section-4.4 sampler ran once before the group dispatched; the
+  // first working device pays it, with the same charge as every other
+  // launch path (so summed device compute covers it exactly once).
+  std::optional<SelectionInfo> unpaid_sampling = base.selection;
 
   for (std::size_t d = 0; d < cfg.devices; ++d) {
     DeviceShard sh;
@@ -162,7 +163,6 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
                                         base.kernel_name);
     std::unique_ptr<LaunchRun> run = spec.kernel->prepare(
         *spec.space, cfg.device, mode, trace, nullptr, kSoloKernel);
-    if (trace) trace->begin(run->shape.n_warps, omp_get_max_threads());
 
     // The device's own grid: its solo grid bounded by its chunk count, so
     // its L2 slice size is what a single device running just these chunks
@@ -197,19 +197,11 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
       return out;
     }
 
-    sh.stats = merge_stats(per_slot);
-    sh.time = estimate_time_balanced(instr_cycles_of(per_slot), sh.stats,
-                                     cfg.device);
-    if (base.selection && !sampling_charged) {
-      // The section-4.4 sampler ran once before the group dispatched;
-      // charge it to the first working device, same accounting as
-      // run_launch_pool (so summed device compute covers it exactly once).
-      sh.stats.note_sampling_cycles(base.selection->sampling_cycles);
-      sh.time.compute_ms += base.selection->sampling_cycles / cycles_per_ms;
-      sh.time.total_ms = std::max(sh.time.compute_ms, sh.time.memory_ms);
-      sh.time.memory_bound = sh.time.memory_ms > sh.time.compute_ms;
-      sampling_charged = true;
-    }
+    LaunchTotals t =
+        finish_launch(per_slot, cfg.device, unpaid_sampling, nullptr, nullptr);
+    unpaid_sampling.reset();
+    sh.stats = std::move(t.stats);
+    sh.time = t.time;
 
     // Pipelined transfer: the device's upload strip-mined into
     // chunk_points-sized copies overlapping its compute.

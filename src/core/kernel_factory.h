@@ -70,8 +70,9 @@ struct KernelRequest {
 
 // The registry. Builders construct a kernel (plus its data and tree) into
 // a keep-alive bundle and register its tree/point buffers into the
-// caller's address space, exactly like run_bench does, so run_gpu_sim /
-// run_gpu_batch on the handle model the same address space.
+// caller's address space, exactly like run_bench does, so run_gpu_sim on
+// the kernel and run_launch_pool on the handle model the same address
+// space.
 class KernelFactory {
  public:
   using Builder = std::function<std::shared_ptr<KernelHandle>(

@@ -1,30 +1,35 @@
-// Type-erased launch API over the layered GPU executor, plus the launch
-// geometry / composition helpers shared between the monomorphic
-// run_gpu_sim (gpu_executors.h) and the batched run_gpu_batch
-// (batch_scheduler.h).
+// The launch engine: one simulated kernel launch over the layered GPU
+// executor, behind a type-erased API. Every entry point drives it --
+// run_gpu_sim (gpu_executors.h) for a typed solo run, run_launch_pool
+// (serving.h) for a residency of several launches, run_sharded
+// (device_group.h) for one launch split across devices -- so a launch's
+// simulation is the same code however it is issued (the byte-identity
+// contract of batched, served and sharded runs rests on this).
 //
-// Three pieces (DESIGN.md section 3):
+// Four pieces (DESIGN.md section 3):
 //
-//   launch_geometry / make_warp_arenas / run_chunk / run_warp_slot
+//   launch_geometry / make_warp_arenas / run_chunk
 //     The variant-independent launch math -- warp counts, Figure 9b grid,
 //     stack-arena sizing and addressing, and the StackPolicy x
-//     ConvergencePolicy composition table. run_gpu_sim and the batch
-//     scheduler both execute chunks through run_warp_slot, so a launch's
-//     simulation is the same code path whether it runs solo or batched
-//     (the byte-identity contract of batched runs rests on this).
+//     ConvergencePolicy composition table.
 //
-//   KernelHandle / TypedKernelHandle<K>
-//     Virtual-dispatch wrapper over the TraversalKernel concept. Every
-//     entry point used to be monomorphized per kernel; a handle lets a
-//     heterogeneous set of launches live in one container. Handles
-//     require the kernel to name itself (K::kName) -- batched
-//     diagnostics prefix every error with the owning kernel's name.
+//   resolve_auto_select / charge_sampling / finish_launch
+//     The section-4.4 decision taken before a launch (sampler report ->
+//     resolved GpuMode + SelectionInfo), the sampler's cost charge, and
+//     the epilogue every launch shares: merge the per-slot counters, run
+//     the cost model, charge the sampler, build the profile.
 //
-//   LaunchSpec / LaunchResult
-//     One element of a batch: which kernel, in which address space, under
-//     which GpuMode, with an optional per-launch trace sink -- and the
-//     type-erased per-launch measurement coming back (raw result bytes +
-//     isolated KernelStats / TimeBreakdown / SelectionInfo).
+//   LaunchRun / TypedLaunchRun<K>
+//     One launch's execution state: the only place that sizes the stack
+//     arena, registers the rope buffer and builds the node cache, and the
+//     one per-slot chunk loop (run_warp_slot) behind both the dense and
+//     the sharded slot walks.
+//
+//   KernelHandle / TypedKernelHandle<K>, LaunchSpec / LaunchResult
+//     Virtual-dispatch wrapper over the TraversalKernel concept, so a
+//     heterogeneous set of launches lives in one container; and one
+//     element of a batch plus its type-erased measurement (raw result
+//     bytes + isolated KernelStats / TimeBreakdown / SelectionInfo).
 #pragma once
 
 #include <algorithm>
@@ -52,6 +57,7 @@
 #include "simt/address_space.h"
 #include "simt/cost_model.h"
 #include "simt/device_config.h"
+#include "simt/executor.h"
 #include "simt/kernel_stats.h"
 #include "simt/l2cache.h"
 #include "simt/smem_cache.h"
@@ -70,7 +76,7 @@ concept NamedTraversalKernel =
     };
 
 // ---------------------------------------------------------------------
-// Launch geometry shared by the solo and batched executors.
+// Launch geometry and the composition table.
 // ---------------------------------------------------------------------
 
 struct LaunchGeometry {
@@ -170,13 +176,13 @@ struct WarpArenas {
 
 // The composition table: which StackPolicy x ConvergencePolicy pair a
 // (resolved) GpuMode dispatches one chunk to. auto_select never reaches
-// here -- run_gpu_sim / run_gpu_batch resolve it per launch first. The
+// here -- every launch path resolves it first (resolve_auto_select). The
 // stackless cases need the launch's StacklessCtx (rope buffer id) and an
 // eligible kernel; callers enforce eligibility up front, so hitting the
 // ineligible path here is a composition-table bug.
 template <TraversalKernel K>
 void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
-               const StacklessCtx* sctx = nullptr) {
+               const StacklessCtx& sctx) {
   switch (mode.variant()) {
     case Variant::kAutoNolockstep:
       LoopHeadReconvergence{}.run(eng, a.lane_stack);
@@ -193,10 +199,10 @@ void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
     case Variant::kStacklessLockstep:
     case Variant::kStacklessNolockstep:
       if constexpr (StacklessCompatibleKernel<K>) {
-        if (sctx == nullptr || sctx->rope_buf < 0)
+        if (sctx.rope_buf < 0)
           throw std::logic_error(
-              "run_chunk: stackless variant launched without a StacklessCtx");
-        const StacklessRope sp{&eng.kernel().ropes(), sctx->rope_buf};
+              "run_chunk: stackless variant launched without a rope buffer");
+        const StacklessRope sp{&eng.kernel().ropes(), sctx.rope_buf};
         if (mode.lockstep)
           WarpAndTruncation{}.run(eng, sp);
         else
@@ -220,96 +226,81 @@ void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
   }
 }
 
-// Simulate every chunk assigned to physical warp slot `p`: construct the
-// slot's memory front end, engine and arena policies once, then walk
-// chunks w = p, p + grid, ... -- exactly the body of run_gpu_sim's warp
-// lambda. Batched launches run the same function per slot, with their own
-// stats / l2 slice / counters, which is what makes a batched launch's
-// per-kernel numbers byte-identical to its solo run.
-template <TraversalKernel K>
-void run_warp_slot(const K& k, const GpuAddressSpace& space,
-                   const DeviceConfig& cfg, const GpuMode& mode,
-                   const LaunchGeometry& shape, std::uint64_t stack_base0,
-                   std::size_t p, KernelStats& stats, L2Cache* l2,
-                   obs::TraceSink* trace, obs::ProfileSink* profile,
-                   OverflowReport& overflow,
-                   typename K::Result* results,
-                   std::uint32_t* per_point_visits,
-                   std::uint32_t* per_warp_pops,
-                   std::uint32_t kernel_id = kSoloKernel,
-                   const StacklessCtx* sctx = nullptr) {
-  WarpMemory mem(space, cfg, l2, stats, sctx ? sctx->cache : nullptr);
-  // Fused kernels share node records between constituents; serve the
-  // duplicate per-lane loads once (core/kernel_compose.h).
-  if constexpr (kernel_shares_node_loads<K>) mem.set_shared_load_elision(true);
-  const std::uint64_t base = stack_base0 + shape.per_warp_span * p;
-  obs::WarpTracer* tr = trace ? &trace->ring(omp_get_thread_num()) : nullptr;
-  obs::ProfileCollector* pc =
-      profile ? &profile->collector(omp_get_thread_num()) : nullptr;
-  WarpEngine<K> eng(k, cfg, mem, stats, overflow, shape.stack_bound, tr, pc);
-  const WarpArenas arenas = make_warp_arenas(shape, cfg, mode, base);
+// ---------------------------------------------------------------------
+// Section 4.4: the launch decision and its charge, written once for
+// every launch path.
+// ---------------------------------------------------------------------
 
-  for (std::size_t w = p; w < shape.n_warps; w += shape.grid) {
-    if (tr) tr->begin_warp(static_cast<std::uint32_t>(w));
-    WarpRange range;
-    range.begin = static_cast<std::uint32_t>(w * cfg.warp_size);
-    range.end = static_cast<std::uint32_t>(
-        std::min<std::size_t>(shape.n, (w + 1) * cfg.warp_size));
-    eng.begin_chunk(static_cast<std::uint32_t>(w), range,
-                    results + range.begin,
-                    mode.lockstep ? nullptr : per_point_visits + range.begin,
-                    mode.lockstep ? &per_warp_pops[w] : nullptr, kernel_id);
-    run_chunk(eng, mode, arenas, sctx);
-    eng.end_chunk();
-    if (tr) trace->commit(static_cast<std::uint32_t>(w), *tr);
-  }
+struct ResolvedLaunch {
+  GpuMode mode;  // auto_select replaced by the dispatched composition
+  SelectionInfo selection;
+};
+
+// Turn the similarity sampler's report into the launch's executed mode:
+// lockstep autoropes when adjacent traversals look sorted, non-lockstep
+// autoropes otherwise. The sampled traversals' modelled cost (c_visit +
+// c_step per sampled visit) rides along in the selection.
+[[nodiscard]] inline ResolvedLaunch resolve_auto_select(
+    GpuMode mode, const ProfileReport& p, const DeviceConfig& cfg) {
+  mode.auto_select = false;
+  mode.autoropes = true;
+  mode.lockstep = p.looks_sorted;
+  SelectionInfo sel;
+  sel.mean_similarity = p.mean_similarity;
+  sel.baseline_similarity = p.baseline_similarity;
+  sel.samples = p.samples;
+  sel.threshold = p.threshold;
+  sel.chosen = mode.variant();
+  sel.sampling_cycles =
+      static_cast<double>(p.sampled_visits) * (cfg.c_visit + cfg.c_step);
+  return {mode, sel};
 }
 
-// The sharded sibling of run_warp_slot: slot `p` walks an *explicit* chunk
-// list (warps[p], warps[p + grid], ...) instead of the dense p, p + grid,
-// ... sequence -- how a device of a DeviceGroup (core/device_group.h) runs
-// just the logical warps assigned to it. Each chunk's traversal is
-// identical to the solo run's (same kernel, same warp range, same
-// engine/arena construction), so results and visit counters land
-// byte-identical into the canonical warp-indexed arrays; only the L2 /
-// stats side, which is slot-state, sees the different walk order.
-template <TraversalKernel K>
-void run_warp_list(const K& k, const GpuAddressSpace& space,
-                   const DeviceConfig& cfg, const GpuMode& mode,
-                   const LaunchGeometry& shape, std::uint64_t stack_base0,
-                   std::span<const std::uint32_t> warps, std::size_t grid,
-                   std::size_t p, KernelStats& stats, L2Cache* l2,
-                   obs::TraceSink* trace, obs::ProfileSink* profile,
-                   OverflowReport& overflow,
-                   typename K::Result* results,
-                   std::uint32_t* per_point_visits,
-                   std::uint32_t* per_warp_pops,
-                   std::uint32_t kernel_id = kSoloKernel,
-                   const StacklessCtx* sctx = nullptr) {
-  WarpMemory mem(space, cfg, l2, stats, sctx ? sctx->cache : nullptr);
-  if constexpr (kernel_shares_node_loads<K>) mem.set_shared_load_elision(true);
-  const std::uint64_t base = stack_base0 + shape.per_warp_span * p;
-  obs::WarpTracer* tr = trace ? &trace->ring(omp_get_thread_num()) : nullptr;
-  obs::ProfileCollector* pc =
-      profile ? &profile->collector(omp_get_thread_num()) : nullptr;
-  WarpEngine<K> eng(k, cfg, mem, stats, overflow, shape.stack_bound, tr, pc);
-  const WarpArenas arenas = make_warp_arenas(shape, cfg, mode, base);
+// Charge the sampler to a launch's counters and modelled time: its cycles
+// land in the kSelect bucket and are added to compute time. Total time
+// stays max(compute, memory), so a memory-bound launch's total_ms does not
+// show the charge.
+inline void charge_sampling(const SelectionInfo& sel, const DeviceConfig& cfg,
+                            KernelStats& stats, TimeBreakdown& time) {
+  stats.note_sampling_cycles(sel.sampling_cycles);
+  const double cycles_per_ms = cfg.clock_ghz * 1e6;
+  time.compute_ms += sel.sampling_cycles / cycles_per_ms;
+  time.total_ms = std::max(time.compute_ms, time.memory_ms);
+  time.memory_bound = time.memory_ms > time.compute_ms;
+}
 
-  for (std::size_t i = p; i < warps.size(); i += grid) {
-    const std::size_t w = warps[i];
-    if (tr) tr->begin_warp(static_cast<std::uint32_t>(w));
-    WarpRange range;
-    range.begin = static_cast<std::uint32_t>(w * cfg.warp_size);
-    range.end = static_cast<std::uint32_t>(
-        std::min<std::size_t>(shape.n, (w + 1) * cfg.warp_size));
-    eng.begin_chunk(static_cast<std::uint32_t>(w), range,
-                    results + range.begin,
-                    mode.lockstep ? nullptr : per_point_visits + range.begin,
-                    mode.lockstep ? &per_warp_pops[w] : nullptr, kernel_id);
-    run_chunk(eng, mode, arenas, sctx);
-    eng.end_chunk();
-    if (tr) trace->commit(static_cast<std::uint32_t>(w), *tr);
+// A finished launch's merged counters, modelled time and (when a profile
+// sink ran) cycle-attribution profile.
+struct LaunchTotals {
+  KernelStats stats;
+  TimeBreakdown time;
+  std::optional<obs::ProfileReport> profile;
+};
+
+// The epilogue of every launch: merge the per-slot counters, run the
+// imbalance-aware cost model, apply the section-4.4 charge when the launch
+// was auto-selected (and record the launch-scope kSelect decision event),
+// then build the profile -- after the charge, so its bucket split
+// reconciles with the full launch.
+[[nodiscard]] inline LaunchTotals finish_launch(
+    const std::vector<KernelStats>& per_slot, const DeviceConfig& cfg,
+    const std::optional<SelectionInfo>& selection, obs::TraceSink* trace,
+    obs::ProfileSink* profile) {
+  LaunchTotals t;
+  t.stats = merge_stats(per_slot);
+  t.time = estimate_time_balanced(instr_cycles_of(per_slot), t.stats, cfg);
+  if (selection) {
+    charge_sampling(*selection, cfg, t.stats, t.time);
+    if (trace)
+      trace->record_launch(obs::TraceEventKind::kSelect, 0xffffffffu,
+                           static_cast<std::uint32_t>(selection->samples), 0,
+                           variant_is_lockstep(selection->chosen) ? 1u : 0u);
   }
+  if (profile) {
+    const obs::ProfileCollector merged = profile->merged();
+    t.profile = obs::make_profile_report(t.stats, cfg, &merged);
+  }
+  return t;
 }
 
 // ---------------------------------------------------------------------
@@ -317,9 +308,10 @@ void run_warp_list(const K& k, const GpuAddressSpace& space,
 // ---------------------------------------------------------------------
 
 // Per-launch execution state behind a virtual boundary: typed result
-// storage plus the untyped counters / overflow report the scheduler needs.
-// Created by KernelHandle::prepare with a *resolved* mode (no
-// auto_select), which fixes the shape and reserves the stack arena.
+// storage plus the untyped counters / overflow report the launch paths
+// need. Built by run_gpu_sim or KernelHandle::prepare with a *resolved*
+// mode (no auto_select), which fixes the shape and reserves the launch's
+// scratch buffers in its address space.
 class LaunchRun {
  public:
   virtual ~LaunchRun() = default;
@@ -331,7 +323,8 @@ class LaunchRun {
   std::vector<std::uint32_t> per_warp_pops;
   OverflowReport overflow;
 
-  // Simulate every chunk assigned to physical warp slot `p` (< shape.grid).
+  // Simulate every chunk assigned to physical warp slot `p` (< shape.grid):
+  // logical warps p, p + grid, p + 2*grid, ...
   virtual void run_slot(std::size_t p, KernelStats& stats, L2Cache* l2) = 0;
   // Sharded execution (core/device_group.h): slot `p` of a device whose
   // assigned chunk list is `warps` and whose physical grid is `grid` walks
@@ -375,19 +368,29 @@ class KernelHandle {
   [[nodiscard]] virtual ProfileReport profile(std::size_t samples,
                                               std::uint64_t seed) const = 0;
 
-  // Size the launch, reserve its stack arena in `space` (same buffer names
-  // and addresses as run_gpu_sim would) and allocate result/counter
-  // storage. `mode` must be resolved -- throws std::invalid_argument on a
-  // mode still carrying auto_select.
+  // Build the launch's TypedLaunchRun: size it, reserve its scratch
+  // buffers in `space` (the same buffer names and addresses run_gpu_sim
+  // uses) and allocate result/counter storage. Throws
+  // std::invalid_argument on a mode still carrying auto_select, and on an
+  // ineligible variant ("launch: " + the canonical reason string).
   [[nodiscard]] virtual std::unique_ptr<LaunchRun> prepare(
       GpuAddressSpace& space, const DeviceConfig& cfg, const GpuMode& mode,
       obs::TraceSink* trace, obs::ProfileSink* profile,
       std::uint32_t kernel_id) const = 0;
 };
 
-template <NamedTraversalKernel K>
+// The typed launch. Each slot owns its full simulation state -- memory
+// front end, engine, arena slice, KernelStats, L2 slice -- and walks its
+// chunks in ascending order, so a launch's results and counters do not
+// depend on which other launches share the residency, on the host thread
+// count, or (for results) on how its chunks are split across devices.
+template <TraversalKernel K>
 class TypedLaunchRun final : public LaunchRun {
  public:
+  // `mode` must be resolved and eligible for K; run_gpu_sim and
+  // KernelHandle::prepare check both, each with its own error prefix.
+  // Runs serially, before any slot fans out, so the ensure_buffer calls
+  // here are safe. Opens the trace / profile sinks.
   TypedLaunchRun(const K& k, GpuAddressSpace& space, const DeviceConfig& cfg,
                  GpuMode mode, obs::TraceSink* trace,
                  obs::ProfileSink* profile, std::uint32_t kernel_id)
@@ -399,7 +402,7 @@ class TypedLaunchRun final : public LaunchRun {
         profile_(profile),
         kernel_id_(kernel_id) {
     shape = launch_geometry(k, cfg, mode);
-    results_.resize(shape.n);
+    results.resize(shape.n);
     if (mode.lockstep)
       per_warp_pops.assign(shape.n_warps, 0);
     else
@@ -407,13 +410,7 @@ class TypedLaunchRun final : public LaunchRun {
     if (mode.stackless) {
       // No stack arena. Register the rope array (launch-time scratch, like
       // the arena -- never part of the kernel's upload bytes) and build
-      // the shared-memory node cache from the freed stack bytes. This
-      // constructor runs serially (prepare), so ensure_buffer is safe.
-      // Ineligible pairings throw the canonical reason string
-      // (core/static_ropes.h), same spelling as run_gpu_sim's.
-      const std::string why =
-          kernel_variant_ineligible_reason(k, mode.variant());
-      if (!why.empty()) throw std::invalid_argument("launch: " + why);
+      // the shared-memory node cache from the freed stack bytes.
       if constexpr (StacklessCompatibleKernel<K>) {
         sctx_.rope_buf = space.ensure_buffer(
             "ropes", 4, static_cast<std::uint64_t>(k.ropes().rope.size()));
@@ -425,37 +422,71 @@ class TypedLaunchRun final : public LaunchRun {
         }
       }
     } else {
-      BufferId buf = ensure_stack_arena(space, mode, shape);
-      stack_base0_ = space.addr(buf, 0);
+      stack_base0_ = space.addr(ensure_stack_arena(space, mode, shape), 0);
     }
+    if (trace) trace->begin(shape.n_warps, omp_get_max_threads());
+    if (profile) profile->begin(omp_get_max_threads());
   }
 
   void run_slot(std::size_t p, KernelStats& stats, L2Cache* l2) override {
-    run_warp_slot(*k_, *space_, *cfg_, mode_, shape, stack_base0_, p, stats,
-                  l2, trace_, profile_, overflow, results_.data(),
-                  mode_.lockstep ? nullptr : per_point_visits.data(),
-                  mode_.lockstep ? per_warp_pops.data() : nullptr,
-                  kernel_id_, mode_.stackless ? &sctx_ : nullptr);
+    run_warp_slot(shape.n_warps, shape.grid, p, stats, l2,
+                  [](std::size_t i) { return i; });
   }
 
   void run_shard_slot(std::span<const std::uint32_t> warps, std::size_t grid,
                       std::size_t p, KernelStats& stats, L2Cache* l2) override {
-    run_warp_list(*k_, *space_, *cfg_, mode_, shape, stack_base0_, warps,
-                  grid, p, stats, l2, trace_, profile_, overflow,
-                  results_.data(),
-                  mode_.lockstep ? nullptr : per_point_visits.data(),
-                  mode_.lockstep ? per_warp_pops.data() : nullptr,
-                  kernel_id_, mode_.stackless ? &sctx_ : nullptr);
+    run_warp_slot(warps.size(), grid, p, stats, l2,
+                  [warps](std::size_t i) -> std::size_t { return warps[i]; });
   }
 
   [[nodiscard]] const void* result_data() const override {
-    return results_.data();
+    return results.data();
   }
   [[nodiscard]] std::size_t result_stride() const override {
     return sizeof(typename K::Result);
   }
 
+  std::vector<typename K::Result> results;
+
  private:
+  // The one slot body: construct the slot's memory front end, engine and
+  // arena policies once, then simulate chunk indices i = p, p + grid, ...
+  // below `count`; `warp_of(i)` names the logical warp chunk i covers.
+  template <class WarpOf>
+  void run_warp_slot(std::size_t count, std::size_t grid, std::size_t p,
+                     KernelStats& stats, L2Cache* l2, WarpOf warp_of) {
+    WarpMemory mem(*space_, *cfg_, l2, stats, sctx_.cache);
+    // Fused kernels share node records between constituents; serve the
+    // duplicate per-lane loads once (core/kernel_compose.h).
+    if constexpr (kernel_shares_node_loads<K>)
+      mem.set_shared_load_elision(true);
+    obs::WarpTracer* tr =
+        trace_ ? &trace_->ring(omp_get_thread_num()) : nullptr;
+    obs::ProfileCollector* pc =
+        profile_ ? &profile_->collector(omp_get_thread_num()) : nullptr;
+    WarpEngine<K> eng(*k_, *cfg_, mem, stats, overflow, shape.stack_bound, tr,
+                      pc);
+    const WarpArenas arenas = make_warp_arenas(
+        shape, *cfg_, mode_, stack_base0_ + shape.per_warp_span * p);
+    const std::size_t ws = static_cast<std::size_t>(cfg_->warp_size);
+    for (std::size_t i = p; i < count; i += grid) {
+      const std::size_t w = warp_of(i);
+      if (tr) tr->begin_warp(static_cast<std::uint32_t>(w));
+      WarpRange range;
+      range.begin = static_cast<std::uint32_t>(w * ws);
+      range.end = static_cast<std::uint32_t>(std::min(shape.n, (w + 1) * ws));
+      eng.begin_chunk(static_cast<std::uint32_t>(w), range,
+                      results.data() + range.begin,
+                      mode_.lockstep ? nullptr
+                                     : per_point_visits.data() + range.begin,
+                      mode_.lockstep ? &per_warp_pops[w] : nullptr,
+                      kernel_id_);
+      run_chunk(eng, mode_, arenas, sctx_);
+      eng.end_chunk();
+      if (tr) trace_->commit(static_cast<std::uint32_t>(w), *tr);
+    }
+  }
+
   const K* k_;
   const GpuAddressSpace* space_;
   const DeviceConfig* cfg_;
@@ -464,7 +495,6 @@ class TypedLaunchRun final : public LaunchRun {
   obs::ProfileSink* profile_;
   std::uint32_t kernel_id_;
   std::uint64_t stack_base0_ = 0;
-  std::vector<typename K::Result> results_;
   // Stackless launches only: rope buffer id + modelled node cache.
   StacklessCtx sctx_;
   SmemNodeCache cache_;
@@ -506,7 +536,10 @@ class TypedKernelHandle final : public KernelHandle {
     if (mode.auto_select)
       throw std::invalid_argument(
           "KernelHandle::prepare: mode still carries auto_select; resolve "
-          "the launch decision first (run_gpu_batch does)");
+          "the launch decision first (run_launch_pool does)");
+    const std::string why =
+        kernel_variant_ineligible_reason(*k_, mode.variant());
+    if (!why.empty()) throw std::invalid_argument("launch: " + why);
     return std::make_unique<TypedLaunchRun<K>>(*k_, space, cfg, mode, trace,
                                                profile, kernel_id);
   }
@@ -529,7 +562,7 @@ struct LaunchSpec {
   // solo run registered (tree + points), so arena addresses -- and
   // therefore every modelled memory event -- match the solo run.
   GpuAddressSpace* space = nullptr;
-  // May carry auto_select; run_gpu_batch resolves it per launch through
+  // May carry auto_select; run_launch_pool resolves it per launch through
   // KernelHandle::profile with the mode's profile_samples/profile_seed.
   GpuMode mode;
   obs::TraceSink* trace = nullptr;      // optional per-launch trace

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-
-#include <omp.h>
 
 #include "obs/chrome_trace.h"
 #include "simt/cost_model.h"
@@ -19,7 +16,7 @@
 namespace tt {
 
 // ---------------------------------------------------------------------
-// Dispatch layer (the body that used to be run_gpu_batch).
+// Dispatch layer.
 // ---------------------------------------------------------------------
 
 LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
@@ -44,27 +41,17 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
                                   " is missing its kernel or address space");
     Prep& pr = preps[i];
     GpuMode mode = spec.mode;
-    if (mode.variant() == Variant::kAutoSelect) {
-      // Per-launch section-4.4 resolution, exactly like run_gpu_sim's
-      // early dispatch: sample, choose the autoropes composition, and
-      // charge the sampling to this launch's cost model afterwards.
+    if (mode.auto_select) {
+      // Per-launch section-4.4 resolution, the same decision run_gpu_sim
+      // takes; finish_launch charges the sampling afterwards.
       if (mode.profile_samples == 0)
         throw std::invalid_argument(
             "run_launch_pool: auto_select needs profile_samples >= 1");
-      const ProfileReport p =
-          spec.kernel->profile(mode.profile_samples, mode.profile_seed);
-      mode.auto_select = false;
-      mode.autoropes = true;
-      mode.lockstep = p.looks_sorted;
-      SelectionInfo sel;
-      sel.mean_similarity = p.mean_similarity;
-      sel.baseline_similarity = p.baseline_similarity;
-      sel.samples = p.samples;
-      sel.threshold = p.threshold;
-      sel.chosen = mode.variant();
-      sel.sampling_cycles =
-          static_cast<double>(p.sampled_visits) * (cfg.c_visit + cfg.c_step);
-      pr.selection = sel;
+      const ResolvedLaunch r = resolve_auto_select(
+          mode, spec.kernel->profile(mode.profile_samples, mode.profile_seed),
+          cfg);
+      mode = r.mode;
+      pr.selection = r.selection;
     }
     pr.mode = mode;
     const std::string why =
@@ -90,9 +77,6 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
         grid == 0 ? 1 : grid,
         static_cast<std::size_t>(cfg.max_resident_warps()));
     pr.slice_bytes = cfg.l2_bytes / resident;
-    if (spec.trace)
-      spec.trace->begin(pr.run->shape.n_warps, omp_get_max_threads());
-    if (spec.profile) spec.profile->begin(omp_get_max_threads());
     out.shapes.push_back(pr.run->shape);
   }
 
@@ -155,28 +139,12 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
       out.launches.push_back(std::move(r));
       continue;
     }
-    r.stats = merge_stats(pr.per_slot);
-    r.time = estimate_time_balanced(instr_cycles_of(pr.per_slot), r.stats, cfg);
-    if (pr.selection) {
-      // Same accounting as run_gpu_sim's auto_select dispatch: sampling
-      // runs serially before the kernel, charged to compute time.
-      r.selection = pr.selection;
-      r.stats.note_sampling_cycles(pr.selection->sampling_cycles);
-      const double cycles_per_ms = cfg.clock_ghz * 1e6;
-      r.time.compute_ms += pr.selection->sampling_cycles / cycles_per_ms;
-      r.time.total_ms = std::max(r.time.compute_ms, r.time.memory_ms);
-      r.time.memory_bound = r.time.memory_ms > r.time.compute_ms;
-      if (spec.trace)
-        spec.trace->record_launch(
-            obs::TraceEventKind::kSelect, 0xffffffffu,
-            static_cast<std::uint32_t>(pr.selection->samples), 0,
-            pr.selection->chosen == Variant::kAutoLockstep ? 1u : 0u);
-    }
-    if (spec.profile) {
-      // Build AFTER the sampling charge so reconciliation covers it.
-      const obs::ProfileCollector merged = spec.profile->merged();
-      r.profile = obs::make_profile_report(r.stats, cfg, &merged);
-    }
+    LaunchTotals t =
+        finish_launch(pr.per_slot, cfg, pr.selection, spec.trace, spec.profile);
+    r.stats = std::move(t.stats);
+    r.time = t.time;
+    r.selection = pr.selection;
+    r.profile = std::move(t.profile);
     const std::byte* data =
         static_cast<const std::byte*>(pr.run->result_data());
     r.results.assign(data, data + r.n_points * r.result_stride);
@@ -190,20 +158,6 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
 // ---------------------------------------------------------------------
 // Admission layer.
 // ---------------------------------------------------------------------
-
-ServingConfig ServingConfig::closed_batch(const DeviceConfig& device,
-                                          BatchPolicy policy,
-                                          std::size_t n_specs) {
-  ServingConfig c;
-  c.device = device;
-  c.policy = policy;
-  c.drain.max_batch = std::numeric_limits<std::size_t>::max();
-  c.drain.max_delay_ms = 0;
-  c.queue_capacity = std::max<std::size_t>(n_specs, 1);
-  c.reuse_identical = false;
-  c.keep_batch_results = true;
-  return c;
-}
 
 LatencySummary summarize_latency(std::vector<double> xs) {
   LatencySummary s;
@@ -250,11 +204,7 @@ ServingSession::ServingSession(ServingConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 ServingSession::CacheKey ServingSession::cache_key(const LaunchSpec& spec) {
-  const GpuMode& m = spec.mode;
-  return std::make_tuple(spec.kernel.get(), m.autoropes, m.lockstep,
-                         m.auto_select,
-                         m.contiguous_stack, m.lockstep_stack_global,
-                         m.grid_limit, m.profile_samples, m.profile_seed);
+  return {spec.kernel.get(), spec.mode};
 }
 
 bool ServingSession::submit(QuerySet q, double arrival_ms) {
@@ -439,18 +389,6 @@ void ServingSession::fire(double trigger_ms) {
   device_free_ms_[device] = rec.dispatch_ms + rec.service_ms;
   busy_ms_ += rec.service_ms;
   drains_.push_back(rec);
-
-  if (cfg_.keep_batch_results) {
-    BatchRun run;
-    run.launches = std::move(pool.launches);
-    run.policy = cfg_.policy;
-    run.residency = bs.residency;
-    run.total_chunks = bs.total_chunks;
-    run.rounds = bs.rounds;
-    run.switches = bs.switches;
-    run.sim_wall_ms = pool.sim_wall_ms;
-    closed_run_ = std::move(run);
-  }
 }
 
 ServingReport ServingSession::report() const {
@@ -470,35 +408,6 @@ ServingReport ServingSession::report() const {
   r.queue_delay = summarize_latency(queue_delays_);
   r.drains = drains_;
   return r;
-}
-
-BatchRun ServingSession::take_closed_run() {
-  if (!cfg_.keep_batch_results)
-    throw std::logic_error(
-        "ServingSession::take_closed_run: session was not configured with "
-        "keep_batch_results");
-  BatchRun run = closed_run_ ? std::move(*closed_run_) : BatchRun{};
-  run.policy = cfg_.policy;
-  closed_run_.reset();
-  return run;
-}
-
-// ---------------------------------------------------------------------
-// Closed-batch adapter: the legacy one-shot entry point.
-// ---------------------------------------------------------------------
-
-BatchRun run_gpu_batch(std::span<const LaunchSpec> specs,
-                       const DeviceConfig& cfg, BatchPolicy policy) {
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    if (!specs[i].kernel || !specs[i].space)
-      throw std::invalid_argument("run_gpu_batch: LaunchSpec " +
-                                  std::to_string(i) +
-                                  " is missing its kernel or address space");
-  ServingSession session(
-      ServingConfig::closed_batch(cfg, policy, specs.size()));
-  for (const LaunchSpec& spec : specs) session.submit(QuerySet{spec}, 0.0);
-  session.flush();
-  return session.take_closed_run();
 }
 
 // ---------------------------------------------------------------------

@@ -1,21 +1,20 @@
-// Admission--dispatch layer over the type-erased launch API: the serving
-// redesign of the batching surface (ROADMAP "sustained production
-// traffic"; the metalfpga scheduler-VM sketch of "batch phases into one
-// launch, minimize sync points" at the workload level).
+// Admission--dispatch layer over the type-erased launch API (core/launch.h):
+// the batching surface as a serving system (the metalfpga scheduler-VM
+// sketch of "batch phases into one launch, minimize sync points" at the
+// workload level).
 //
-// The one-shot run_gpu_batch(specs) entry point modelled a world where
-// every query exists up front. Serving does not: queries arrive over
-// time, and the interesting measurements are throughput, per-query
-// latency percentiles and queue telemetry under an arrival process. The
-// API here splits the old free function into the three pieces that world
-// needs (DESIGN.md section 3.3):
+// Queries arrive over time, and the interesting measurements are
+// throughput, per-query latency percentiles and queue telemetry under an
+// arrival process. Two pieces (DESIGN.md section 3.3):
 //
 //   run_launch_pool(specs, cfg)
-//     The dispatch layer: the (launch, slot) concurrent-residency pool
-//     that used to be run_gpu_batch's body. Resolves auto_select per
-//     launch, simulates every slot, returns per-launch isolated
-//     LaunchResults plus their shapes. Pure execution -- no policy, no
-//     schedule accounting, no timing model.
+//     The dispatch layer: the (launch, slot) concurrent-residency pool,
+//     and the batch / serving entry point of the launch engine. Resolves
+//     auto_select per launch, simulates every slot, returns per-launch
+//     isolated LaunchResults plus their shapes. Pure execution -- no
+//     policy, no schedule accounting, no timing model. A closed batch
+//     (everything known up front) is one call; feed the shapes to
+//     BatchScheduler for its schedule accounting.
 //
 //   ServingSession
 //     The admission layer: a session object owning a ring-buffer
@@ -31,12 +30,6 @@
 //     batching is results-neutral by construction -- which is what makes
 //     million-query traces affordable.
 //
-//   run_gpu_batch(specs, cfg, policy)
-//     The legacy closed-batch shape, now a thin adapter: one session,
-//     everything submitted at t=0, drained as a single wave. Byte-
-//     identical to the pre-session implementation (pinned by
-//     tests/core/batch_scheduler_test.cpp and the CI determinism job).
-//
 // All times on this layer are *modelled* milliseconds (cost model +
 // TransferModel), so every serving number is deterministic for a given
 // seed and byte-identical across OMP_NUM_THREADS settings.
@@ -45,10 +38,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/batch_scheduler.h"
@@ -131,20 +123,11 @@ struct ServingConfig {
   // instead of re-simulating. Exact by the results-neutrality contract;
   // queries carrying their own trace/profile sinks always execute.
   bool reuse_identical = true;
-  // Keep the drained wave's full BatchRun (results bytes included) for
-  // take_closed_run() -- the closed-batch adapter path. Serving traffic
-  // leaves this off so million-query runs keep only scalar telemetry.
-  bool keep_batch_results = false;
   // When set, each drained wave's executed launches open Chrome-trace
   // tracks named "drain<i>/<kernel>", so admission waves are visible as
   // per-drain process tracks in Perfetto.
   obs::ChromeTraceCollector* chrome = nullptr;
   std::size_t max_drain_tracks = 32;  // cap on traced drains
-
-  // The closed-batch shape: everything admitted up front, one wave.
-  [[nodiscard]] static ServingConfig closed_batch(const DeviceConfig& device,
-                                                  BatchPolicy policy,
-                                                  std::size_t n_specs);
 };
 
 // Latency distribution over modelled per-query times.
@@ -251,11 +234,6 @@ class ServingSession {
     return queue_delays_;
   }
 
-  // Closed-batch adapter support: the last drained wave's full BatchRun.
-  // Only populated under ServingConfig::keep_batch_results; throws
-  // std::logic_error otherwise.
-  [[nodiscard]] BatchRun take_closed_run();
-
  private:
   struct Pending {
     QuerySet q;
@@ -273,9 +251,9 @@ class ServingSession {
     double total_ms = 0;
     bool ok = true;
   };
-  using CacheKey =
-      std::tuple<const KernelHandle*, bool, bool, bool, bool, bool,
-                 std::size_t, std::size_t, std::uint64_t>;
+  // The whole GpuMode is part of the identity: every knob can change the
+  // executed composition or its modelled cost.
+  using CacheKey = std::pair<const KernelHandle*, GpuMode>;
   static CacheKey cache_key(const LaunchSpec& spec);
 
   void advance_to(double now_ms);
@@ -306,7 +284,6 @@ class ServingSession {
   std::vector<double> latencies_;
   std::vector<double> queue_delays_;
   std::vector<DrainRecord> drains_;
-  std::optional<BatchRun> closed_run_;
 };
 
 // ---------------------------------------------------------------------

@@ -49,7 +49,7 @@ StaticRopes install_ropes(const LinearTree& tree) {
         end < static_cast<NodeId>(n) ? end : StaticRopes::kEndOfTraversal;
   }
   // A rope may only point forward (DFS monotonicity is what makes the
-  // lockstep resume rule in ropes_executor.h sound).
+  // lockstep resume rule of StacklessRope under WarpAndTruncation sound).
   r.install_ms = timer.elapsed_ms();
   return r;
 }

@@ -14,6 +14,11 @@
 //   * the preprocessing pass touches the whole tree before the first
 //     traversal (bench/ablation_ropes.cpp measures that cost).
 //
+// On the simulated GPU, the stackless_lockstep / stackless_nolockstep
+// variants with the shared-memory node cache off (GpuMode::smem_node_cache
+// = false) are exactly this prior-work technique: descend to n+1, escape
+// through rope[n], no stack at all.
+//
 // With this library's left-biased DFS linearization the canonical
 // traversal is simply increasing node ids: descend == n+1, and
 // rope[n] == n + subtree_size(n).
@@ -62,6 +67,31 @@ concept RopeCompatibleKernel =
     requires(const K k, NodeId n) {
       { k.uarg_at(n) } -> std::same_as<typename K::UArg>;
     };
+
+// The stackless rope walk on the CPU, one point at a time -- the reference
+// the stackless GPU variants are checked against:
+//
+//   cur = root
+//   while cur != end:
+//     visit(cur)
+//     cur = descend ? cur + 1 (first child, left-biased DFS) : rope[cur]
+template <RopeCompatibleKernel K>
+std::vector<typename K::Result> run_cpu_ropes(const K& k,
+                                              const StaticRopes& ropes) {
+  std::vector<typename K::Result> out(k.num_points());
+  const typename K::LArg no_larg{};
+  for (std::uint32_t pid = 0; pid < k.num_points(); ++pid) {
+    NoopMem mem;
+    typename K::State st = k.init(pid, mem, 0);
+    NodeId cur = k.root();
+    while (cur != StaticRopes::kEndOfTraversal) {
+      const bool descend = k.visit(cur, k.uarg_at(cur), no_larg, st, mem, 0);
+      cur = descend ? cur + 1 : ropes.rope[static_cast<std::size_t>(cur)];
+    }
+    out[pid] = k.finish(st);
+  }
+  return out;
+}
 
 // Kernels eligible for the stackless Variant family: rope-compatible AND
 // carrying their own installed ropes plus the list of node buffers the

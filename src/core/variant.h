@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -241,7 +242,7 @@ struct GpuMode {
   // stack is allocated at all, so ensure_stack_arena is skipped and the
   // profiler's `stack` bucket stays at exactly zero. `index_walk` selects
   // the Wald-style arithmetic escape (no rope loads either); otherwise the
-  // rope array is read per escape like ropes_executor does.
+  // installed rope array is read per escape (StacklessRope).
   bool stackless = false;
   bool index_walk = false;
   // Shared-memory top-of-tree node cache, modelled in WarpMemory::commit.
@@ -273,6 +274,10 @@ struct GpuMode {
       return lockstep ? Variant::kAutoLockstep : Variant::kAutoNolockstep;
     return lockstep ? Variant::kRecLockstep : Variant::kRecNolockstep;
   }
+
+  // Field-by-field, so a knob added later is part of every comparison
+  // (ServingSession keys its warm-replay cache on the whole mode).
+  friend constexpr auto operator<=>(const GpuMode&, const GpuMode&) = default;
 };
 
 }  // namespace tt

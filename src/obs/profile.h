@@ -114,9 +114,10 @@ class ProfileCollector {
 };
 
 // The per-OpenMP-thread collector pool of one launch (mirrors TraceSink's
-// ring pool). begin() is called from the serial part of run_gpu_sim /
-// run_gpu_batch; each executing thread then aggregates into its own
-// collector, and merged() folds the pool deterministically.
+// ring pool). begin() is called from the serial part of the launch (the
+// TypedLaunchRun constructor, core/launch.h); each executing thread then
+// aggregates into its own collector, and merged() folds the pool
+// deterministically.
 class ProfileSink {
  public:
   // Resets prior contents; `n_threads` sizes the pool.

@@ -119,7 +119,8 @@ class TraceSink {
  public:
   explicit TraceSink(std::size_t capacity_per_warp = 4096);
 
-  // Called by run_gpu_sim before launching warps. Resets prior contents.
+  // Called by the launch before any warp runs (the TypedLaunchRun
+  // constructor, core/launch.h). Resets prior contents.
   // `n_threads` sizes the per-OpenMP-thread ring pool.
   void begin(std::size_t n_warps, int n_threads);
 
@@ -133,7 +134,7 @@ class TraceSink {
   // Launch-scope event (not tied to any warp): e.g. the auto_select
   // kSelect decision. Recorded with warp = 0xffffffff so merged() keeps
   // its (warp, seq) order with launch events after all per-warp events.
-  // Called from the serial part of run_gpu_sim only.
+  // Called from the serial part of a launch only.
   void record_launch(TraceEventKind kind, std::uint32_t node,
                      std::uint32_t mask, std::uint32_t depth,
                      std::uint32_t aux = 0);

@@ -4,9 +4,9 @@
 // shuffled inputs, reproduce the chosen composition's results
 // byte-for-byte, and report total cycles = chosen-variant cycles +
 // sampling cycles. Kernels come from core's KernelFactory and run through
-// the type-erased batch API (one-launch batches are byte-identical to
-// solo runs by the batching contract), which is also what pins the
-// factory registry's name-keyed construction end to end.
+// the type-erased launch pool (one-launch pools are byte-identical to solo
+// runs by the batching contract), which is also what pins the factory
+// registry's name-keyed construction end to end.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "bench_algos/register_kernels.h"
-#include "core/batch_scheduler.h"
 #include "core/kernel_factory.h"
 #include "core/profiler.h"
+#include "core/serving.h"
 #include "obs/trace.h"
 
 namespace tt {
@@ -60,7 +60,7 @@ KernelRequest shuffled_request() {
   return req;
 }
 
-// One-launch batch under variant `v`; the LaunchResult carries the same
+// One-launch pool under variant `v`; the LaunchResult carries the same
 // isolated measurements a solo run_gpu_sim would produce.
 LaunchResult run_one(const std::shared_ptr<KernelHandle>& handle,
                      GpuAddressSpace& space, GpuMode mode,
@@ -70,8 +70,8 @@ LaunchResult run_one(const std::shared_ptr<KernelHandle>& handle,
   spec.space = &space;
   spec.mode = mode;
   spec.trace = trace;
-  BatchRun run = run_gpu_batch(std::span<const LaunchSpec>(&spec, 1),
-                               DeviceConfig{});
+  LaunchPool run =
+      run_launch_pool(std::span<const LaunchSpec>(&spec, 1), DeviceConfig{});
   return std::move(run.launches.front());
 }
 
@@ -146,8 +146,8 @@ TEST(AutoSelect, ZeroSamplesRejected) {
   spec.kernel = handle;
   spec.space = &space;
   spec.mode = mode;
-  EXPECT_THROW(run_gpu_batch(std::span<const LaunchSpec>(&spec, 1),
-                             DeviceConfig{}),
+  EXPECT_THROW((void)run_launch_pool(std::span<const LaunchSpec>(&spec, 1),
+                                     DeviceConfig{}),
                std::invalid_argument);
 }
 

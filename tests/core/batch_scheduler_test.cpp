@@ -1,11 +1,14 @@
-// Batched multi-kernel launches (core/batch_scheduler.h): the contract is
-// results-neutrality -- every launch's outputs and per-launch KernelStats
-// are byte-identical to its solo run_gpu_sim run under every interleaving
-// policy -- plus per-launch failure isolation and the schedule/transfer
-// accounting the batch actually changes.
+// Batched multi-kernel launches (run_launch_pool over the launch engine,
+// planned by core/batch_scheduler.h): the contract is results-neutrality
+// -- every launch's outputs and per-launch KernelStats are byte-identical
+// to its solo run_gpu_sim run under every interleaving policy -- plus
+// per-launch failure isolation and the schedule/transfer accounting the
+// batch actually changes. The RunGpuBatch suite covers the closed batch:
+// every launch known up front, one run_launch_pool call.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "bench_algos/harness.h"
@@ -215,6 +218,9 @@ struct BatchFixtures {
   }
 };
 
+// The interleaving policy never reaches execution: run_launch_pool takes none,
+// and the policy only shapes BatchScheduler's accounting over the pool's
+// shapes. So one pool run per variant covers every policy.
 TEST(RunGpuBatch, ByteIdenticalToSoloAllVariantsAllPolicies) {
   BatchFixtures f;
   DeviceConfig cfg;
@@ -226,25 +232,22 @@ TEST(RunGpuBatch, ByteIdenticalToSoloAllVariantsAllPolicies) {
     // scheduler itself is variant-agnostic either way.
     const bool nn_ok = kernel_variant_eligible<NnKernel>(v);
     auto solo_pc = run_gpu_sim(*f.pc, f.pc_space, cfg, mode);
-    for (BatchPolicy policy : kPolicies) {
-      SCOPED_TRACE(batch_policy_name(policy));
-      std::vector<LaunchSpec> specs;
+    std::vector<LaunchSpec> specs;
+    specs.push_back(
+        LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
+    if (nn_ok)
       specs.push_back(
-          LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
-      if (nn_ok)
-        specs.push_back(
-            LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
-      BatchRun run = run_gpu_batch(specs, cfg, policy);
-      ASSERT_EQ(run.launches.size(), nn_ok ? 2u : 1u);
-      EXPECT_EQ(run.launches[0].kernel_name, "point_correlation");
-      EXPECT_EQ(run.launches[0].batch_index, 0u);
-      expect_matches_solo(run.launches[0], solo_pc);
-      if (nn_ok) {
-        auto solo_nn = run_gpu_sim(*f.nn, f.nn_space, cfg, mode);
-        EXPECT_EQ(run.launches[1].kernel_name, "nearest_neighbor");
-        EXPECT_EQ(run.launches[1].batch_index, 1u);
-        expect_matches_solo(run.launches[1], solo_nn);
-      }
+          LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
+    const LaunchPool run = run_launch_pool(specs, cfg);
+    ASSERT_EQ(run.launches.size(), nn_ok ? 2u : 1u);
+    EXPECT_EQ(run.launches[0].kernel_name, "point_correlation");
+    EXPECT_EQ(run.launches[0].batch_index, 0u);
+    expect_matches_solo(run.launches[0], solo_pc);
+    if (nn_ok) {
+      auto solo_nn = run_gpu_sim(*f.nn, f.nn_space, cfg, mode);
+      EXPECT_EQ(run.launches[1].kernel_name, "nearest_neighbor");
+      EXPECT_EQ(run.launches[1].batch_index, 1u);
+      expect_matches_solo(run.launches[1], solo_nn);
     }
   }
 }
@@ -256,19 +259,21 @@ TEST(RunGpuBatch, ByteIdenticalUnderStripMinedResidency) {
   mode.grid_limit = 3;  // Figure 9b: slots walk several chunks each
   auto solo_pc = run_gpu_sim(*f.pc, f.pc_space, cfg, mode);
   auto solo_nn = run_gpu_sim(*f.nn, f.nn_space, cfg, mode);
+  std::vector<LaunchSpec> specs;
+  specs.push_back(
+      LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
+  specs.push_back(
+      LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
+  const LaunchPool run = run_launch_pool(specs, cfg);
+  ASSERT_EQ(run.launches.size(), 2u);
   for (BatchPolicy policy : kPolicies) {
     SCOPED_TRACE(batch_policy_name(policy));
-    std::vector<LaunchSpec> specs;
-    specs.push_back(
-        LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
-    specs.push_back(
-        LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
-    BatchRun run = run_gpu_batch(specs, cfg, policy);
-    ASSERT_EQ(run.launches.size(), 2u);
-    EXPECT_EQ(run.residency, 6u);  // two launches, grid 3 each
-    expect_matches_solo(run.launches[0], solo_pc);
-    expect_matches_solo(run.launches[1], solo_nn);
+    BatchScheduler sched(policy);
+    for (const LaunchGeometry& shape : run.shapes) sched.add_launch(shape);
+    EXPECT_EQ(sched.schedule().residency, 6u);  // two launches, grid 3 each
   }
+  expect_matches_solo(run.launches[0], solo_pc);
+  expect_matches_solo(run.launches[1], solo_nn);
 }
 
 TEST(RunGpuBatch, TypedResultViewChecksStride) {
@@ -278,7 +283,7 @@ TEST(RunGpuBatch, TypedResultViewChecksStride) {
   specs.push_back(LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space,
                              GpuMode::from(Variant::kAutoNolockstep),
                              nullptr});
-  BatchRun run = run_gpu_batch(specs, cfg);
+  const LaunchPool run = run_launch_pool(specs, cfg);
   ASSERT_TRUE(run.launches[0].ok()) << run.launches[0].error;
   EXPECT_NE(run.launches[0].results_as<NnKernel::Result>(), nullptr);
   struct WrongSize {
@@ -300,7 +305,7 @@ TEST(RunGpuBatch, AutoSelectResolvesPerLaunchAndChargesSampling) {
   std::vector<LaunchSpec> specs;
   specs.push_back(
       LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
-  BatchRun run = run_gpu_batch(specs, cfg);
+  const LaunchPool run = run_launch_pool(specs, cfg);
   ASSERT_TRUE(run.launches[0].ok()) << run.launches[0].error;
   ASSERT_TRUE(run.launches[0].selection.has_value());
   EXPECT_GT(run.launches[0].selection->sampling_cycles, 0.0);
@@ -318,7 +323,7 @@ TEST(RunGpuBatch, AutoSelectRejectsZeroSamples) {
   std::vector<LaunchSpec> specs;
   specs.push_back(
       LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
-  EXPECT_THROW(run_gpu_batch(specs, cfg), std::invalid_argument);
+  EXPECT_THROW((void)run_launch_pool(specs, cfg), std::invalid_argument);
 }
 
 TEST(KernelHandle, PrepareRejectsUnresolvedAutoSelect) {
@@ -433,7 +438,7 @@ TEST(RunGpuBatch, OverflowIsolatedToItsLaunch) {
       LaunchSpec{make_kernel_handle(deep_k), &deep_space, mode, nullptr});
   specs.push_back(
       LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
-  BatchRun run = run_gpu_batch(specs, cfg);
+  const LaunchPool run = run_launch_pool(specs, cfg);
   ASSERT_EQ(run.launches.size(), 2u);
   EXPECT_FALSE(run.launches[0].ok());
   EXPECT_NE(run.launches[0].error.find("kernel deep_micro (batch 0)"),
@@ -468,7 +473,7 @@ TEST(RunGpuBatch, ChunkTraceEventsCarryKernelId) {
       LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, &pc_trace});
   specs.push_back(
       LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, &nn_trace});
-  BatchRun run = run_gpu_batch(specs, cfg);
+  const LaunchPool run = run_launch_pool(specs, cfg);
   ASSERT_TRUE(run.launches[0].ok()) << run.launches[0].error;
   ASSERT_TRUE(run.launches[1].ok()) << run.launches[1].error;
 
@@ -515,75 +520,49 @@ TEST(RunBatch, EmptyBatchThrows) {
   EXPECT_THROW(run_batch(bc), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------
-// The closed-batch adapter: run_gpu_batch is now a ServingSession in
-// closed-batch mode (core/serving.h). A hand-built session must produce
-// the same BatchRun, byte for byte, as the adapter -- launches, results
-// bytes, stats, and schedule accounting alike.
-// ---------------------------------------------------------------------
-
-TEST(ServingClosedBatch, SessionMatchesRunGpuBatchByteForByte) {
-  BatchFixtures f;
-  DeviceConfig cfg;
-  GpuMode mode = GpuMode::from(Variant::kAutoNolockstep);
-  for (BatchPolicy policy : kPolicies) {
-    SCOPED_TRACE(batch_policy_name(policy));
-    std::vector<LaunchSpec> specs;
-    specs.push_back(
-        LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr});
-    specs.push_back(
-        LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
-    BatchRun adapter = run_gpu_batch(specs, cfg, policy);
-
-    ServingSession session(
-        ServingConfig::closed_batch(cfg, policy, specs.size()));
-    for (const LaunchSpec& spec : specs) {
-      QuerySet q;
-      q.spec = spec;
-      ASSERT_TRUE(session.submit(std::move(q), 0.0));
-    }
-    session.flush();
-    BatchRun manual = session.take_closed_run();
-
-    ASSERT_EQ(manual.launches.size(), adapter.launches.size());
-    EXPECT_EQ(manual.policy, adapter.policy);
-    EXPECT_EQ(manual.residency, adapter.residency);
-    EXPECT_EQ(manual.total_chunks, adapter.total_chunks);
-    EXPECT_EQ(manual.rounds, adapter.rounds);
-    EXPECT_EQ(manual.switches, adapter.switches);
-    for (std::size_t i = 0; i < manual.launches.size(); ++i) {
-      const LaunchResult& m = manual.launches[i];
-      const LaunchResult& a = adapter.launches[i];
-      EXPECT_EQ(m.kernel_name, a.kernel_name);
-      EXPECT_EQ(m.batch_index, a.batch_index);
-      ASSERT_TRUE(m.ok()) << m.error;
-      ASSERT_EQ(m.results.size(), a.results.size());
-      EXPECT_EQ(0, std::memcmp(m.results.data(), a.results.data(),
-                               m.results.size()));
-      EXPECT_EQ(m.stats.instr_cycles, a.stats.instr_cycles);
-      EXPECT_EQ(m.stats.warp_steps, a.stats.warp_steps);
-      EXPECT_EQ(m.time.total_ms, a.time.total_ms);
-    }
+// A closed batch is one serving wave with replay off: the harness's
+// schedule accounting and modelled compute equal the drain record of a
+// session that admits the same launches at t=0 and drains them at once.
+TEST(RunBatch, MatchesOneServingWave) {
+  BatchConfig bc = default_table1_batch();
+  bc.items.resize(3);
+  for (BenchConfig& item : bc.items) {
+    item.n = 256;
+    item.profile_samples = 4;
   }
-}
+  bc.policy = BatchPolicy::kSequential;
+  const BatchResult b = run_batch(bc);
 
-// An empty closed batch stays legal through the adapter (no drain ever
-// fires; take_closed_run still hands back a BatchRun with the policy set).
-TEST(ServingClosedBatch, EmptySpecsYieldEmptyRun) {
-  DeviceConfig cfg;
-  BatchRun run = run_gpu_batch({}, cfg, BatchPolicy::kSequential);
-  EXPECT_TRUE(run.launches.empty());
-  EXPECT_EQ(run.policy, BatchPolicy::kSequential);
-  EXPECT_EQ(run.total_chunks, 0u);
-}
-
-// Serving-mode sessions never keep result bytes; asking for the closed
-// run is a programming error, not a silent empty answer.
-TEST(ServingClosedBatch, TakeClosedRunRequiresKeepBatchResults) {
-  BatchFixtures f;
-  ServingConfig cfg;  // keep_batch_results defaults off
-  ServingSession session(cfg);
-  EXPECT_THROW((void)session.take_closed_run(), std::logic_error);
+  ServingConfig sc;
+  sc.device = bc.device;
+  sc.policy = bc.policy;
+  sc.drain.max_batch = bc.items.size();
+  sc.reuse_identical = false;
+  ServingSession session(sc);
+  std::vector<std::unique_ptr<PreparedKernel>> prepared;
+  for (const BenchConfig& item : bc.items) {
+    prepared.push_back(prepare_kernel(item));
+    QuerySet q;
+    q.spec.kernel = prepared.back()->handle;
+    q.spec.space = &prepared.back()->space;
+    q.spec.mode = GpuMode::from(bc.variant);
+    q.spec.mode.profile_samples = item.profile_samples;
+    q.spec.mode.profile_seed = item.profile_seed;
+    ASSERT_TRUE(session.submit(std::move(q), 0.0));
+  }
+  const ServingReport r = session.report();
+  ASSERT_EQ(r.drains.size(), 1u);
+  const DrainRecord& d = r.drains[0];
+  EXPECT_EQ(d.residency, b.residency);
+  EXPECT_EQ(d.total_chunks, b.total_chunks);
+  EXPECT_EQ(d.rounds, b.rounds);
+  EXPECT_EQ(d.switches, b.switches);
+  double compute = 0;
+  for (const BatchKernelRow& k : b.kernels) {
+    ASSERT_TRUE(k.result.ok()) << k.kernel_name << ": " << k.result.error;
+    compute += k.result.time_ms;
+  }
+  EXPECT_EQ(d.compute_ms, compute);
 }
 
 }  // namespace

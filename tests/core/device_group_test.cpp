@@ -17,7 +17,9 @@
 #include "bench_algos/pc/point_correlation.h"
 #include "core/device_group.h"
 #include "core/gpu_executors.h"
+#include "core/serving.h"
 #include "data/generators.h"
+#include "data/sorting.h"
 #include "obs/chrome_trace.h"
 #include "spatial/kdtree.h"
 
@@ -206,6 +208,101 @@ TEST(DeviceGroup, OpensPerDeviceChromeTracks) {
 // ---------------------------------------------------------------------
 // Harness entry point.
 // ---------------------------------------------------------------------
+
+// ---------------------------------------------------------------------
+// The section-4.4 charge is one computation on every launch path: the
+// typed solo run, the launch pool and the sharded group report the same
+// decision, time and counters, and the group pays the sampler once.
+// ---------------------------------------------------------------------
+
+void expect_same_stats(const KernelStats& a, const KernelStats& b) {
+  EXPECT_EQ(a.load_instructions, b.load_instructions);
+  EXPECT_EQ(a.dram_transactions, b.dram_transactions);
+  EXPECT_EQ(a.l2_hit_transactions, b.l2_hit_transactions);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.instr_cycles, b.instr_cycles);
+  EXPECT_EQ(a.warp_steps, b.warp_steps);
+  EXPECT_EQ(a.lane_visits, b.lane_visits);
+  EXPECT_EQ(a.warp_pops, b.warp_pops);
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.votes, b.votes);
+  EXPECT_EQ(a.active_lane_sum, b.active_lane_sum);
+  EXPECT_EQ(a.peak_stack_entries, b.peak_stack_entries);
+  EXPECT_EQ(a.smem_cache_hits, b.smem_cache_hits);
+  EXPECT_EQ(a.smem_cache_misses, b.smem_cache_misses);
+  EXPECT_EQ(a.shared_loads_elided, b.shared_loads_elided);
+  EXPECT_EQ(a.cycle_buckets, b.cycle_buckets);
+}
+
+void expect_same_time(const TimeBreakdown& a, const TimeBreakdown& b) {
+  EXPECT_EQ(a.compute_ms, b.compute_ms);
+  EXPECT_EQ(a.memory_ms, b.memory_ms);
+  EXPECT_EQ(a.total_ms, b.total_ms);
+  EXPECT_EQ(a.memory_bound, b.memory_bound);
+  EXPECT_EQ(a.imbalance, b.imbalance);
+}
+
+void expect_same_selection(const SelectionInfo& a, const SelectionInfo& b) {
+  EXPECT_EQ(a.mean_similarity, b.mean_similarity);
+  EXPECT_EQ(a.baseline_similarity, b.baseline_similarity);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.chosen, b.chosen);
+  EXPECT_EQ(a.sampling_cycles, b.sampling_cycles);
+}
+
+TEST(SamplingCharge, SameOnEveryLaunchPath) {
+  for (bool sorted : {true, false}) {
+    SCOPED_TRACE(sorted ? "sorted" : "shuffled");
+    const std::size_t n = 2048;
+    PointSet pts = gen_covtype_like(n, 7, 42);
+    pts.permute(sorted ? tree_order(pts, 8) : shuffled_order(n, 42));
+    KdTree tree = build_kdtree(pts, 8);
+    GpuAddressSpace space;
+    PointCorrelationKernel pc(tree, pts, pc_pick_radius(pts, 16, 42), space);
+    const DeviceConfig dev;
+    const GpuMode mode = GpuMode::from(Variant::kAutoSelect);
+
+    auto solo = run_gpu_sim(pc, space, dev, mode);
+    ASSERT_TRUE(solo.selection.has_value());
+    EXPECT_EQ(solo.selection->chosen, sorted ? Variant::kAutoLockstep
+                                             : Variant::kAutoNolockstep);
+    EXPECT_GT(solo.selection->sampling_cycles, 0.0);
+
+    LaunchSpec spec;
+    spec.kernel = make_kernel_handle(pc);
+    spec.space = &space;
+    spec.mode = mode;
+    const LaunchPool pool = run_launch_pool(std::span(&spec, 1), dev);
+    const LaunchResult& pooled = pool.launches[0];
+    ASSERT_TRUE(pooled.ok()) << pooled.error;
+    ASSERT_TRUE(pooled.selection.has_value());
+    expect_same_selection(*pooled.selection, *solo.selection);
+    expect_same_time(pooled.time, solo.time);
+    expect_same_stats(pooled.stats, solo.stats);
+
+    DeviceGroupConfig group = group_of(4);
+    group.device = dev;
+    const ShardedRun sharded = run_sharded(spec, 1 << 20, 1 << 16, group);
+    ASSERT_TRUE(sharded.merged.ok()) << sharded.merged.error;
+    ASSERT_TRUE(sharded.merged.selection.has_value());
+    expect_same_selection(*sharded.merged.selection, *solo.selection);
+    expect_same_time(sharded.merged.time, solo.time);
+    expect_same_stats(sharded.merged.stats, solo.stats);
+
+    // The group samples once: exactly one device carries the whole
+    // charge in its select bucket, and the others carry none.
+    double select_sum = 0;
+    std::size_t paying = 0;
+    for (const DeviceShard& d : sharded.devices) {
+      const double c = d.stats.bucket_cycles(CycleBucket::kSelect);
+      select_sum += c;
+      if (c != 0) ++paying;
+    }
+    EXPECT_EQ(select_sum, solo.selection->sampling_cycles);
+    EXPECT_EQ(paying, 1u);
+  }
+}
 
 TEST(RunSharding, ShardsTheItemListAndSumsThePool) {
   ShardingConfig sc;

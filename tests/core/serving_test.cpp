@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_algos/nn/nearest_neighbor.h"
@@ -238,6 +240,48 @@ TEST(ServingSession, WarmReplayIsExact) {
   for (std::size_t i = 1; i < 4; ++i)
     EXPECT_EQ(wr.drains[i].cold_launches, 0u) << "drain " << i;
   for (const DrainRecord& d : cr.drains) EXPECT_EQ(d.cold_launches, 1u);
+}
+
+// Replay keys on the handle AND the whole GpuMode: the same kernel under
+// a different composition (or cache setting) is a different launch and
+// must execute; only a true resubmission replays.
+TEST(ServingSession, WarmReplayKeysOnTheWholeMode) {
+  ServingFixtures f;
+  const DeviceConfig dev;
+  const std::shared_ptr<KernelHandle> handle = make_kernel_handle(*f.pc);
+  GpuMode cache_off = GpuMode::from(Variant::kStacklessLockstep);
+  cache_off.smem_node_cache = false;
+  const std::vector<GpuMode> modes = {
+      GpuMode::from(Variant::kRecLockstep),
+      GpuMode::from(Variant::kStacklessLockstep),
+      cache_off,
+      GpuMode::from(Variant::kRecNolockstep),
+      GpuMode::from(Variant::kStacklessNolockstep),
+      GpuMode::from(Variant::kIndexWalk),
+      GpuMode::from(Variant::kRecLockstep)};  // the one resubmission
+  ServingSession session(relaxed_config());
+  std::vector<double> solo_ms;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    // Solo first, so the session's launch finds the address space in the
+    // same state (every scratch buffer already ensured).
+    solo_ms.push_back(
+        run_gpu_sim(*f.pc, f.pc_space, dev, modes[i]).time.total_ms);
+    QuerySet q;
+    q.spec.kernel = handle;
+    q.spec.space = &f.pc_space;
+    q.spec.mode = modes[i];
+    ASSERT_TRUE(session.submit(std::move(q), 100.0 * static_cast<double>(i)));
+  }
+  session.flush();
+  const ServingReport r = session.report();
+  ASSERT_EQ(r.drains.size(), modes.size());
+  for (std::size_t i = 0; i + 1 < modes.size(); ++i) {
+    SCOPED_TRACE("drain " + std::to_string(i));
+    EXPECT_EQ(r.drains[i].cold_launches, 1u);
+    EXPECT_EQ(r.drains[i].compute_ms, solo_ms[i]);
+  }
+  EXPECT_EQ(r.drains.back().cold_launches, 0u);
+  EXPECT_EQ(r.drains.back().compute_ms, r.drains.front().compute_ms);
 }
 
 // ---------------------------------------------------------------------

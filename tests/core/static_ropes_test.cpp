@@ -10,17 +10,25 @@
 #include "bench_algos/bh/barnes_hut.h"
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
-#include "core/batch_scheduler.h"
 #include "core/cpu_executors.h"
 #include "core/gpu_executors.h"
 #include "core/launch.h"
-#include "core/ropes_executor.h"
+#include "core/serving.h"
 #include "data/generators.h"
 #include "spatial/kdtree.h"
 #include "spatial/octree.h"
 
 namespace tt {
 namespace {
+
+// The prior-work static-ropes walk on the simulated GPU: a stackless
+// variant with the shared-memory node cache off.
+GpuMode static_ropes_mode(bool lockstep) {
+  GpuMode m = GpuMode::from(lockstep ? Variant::kStacklessLockstep
+                                     : Variant::kStacklessNolockstep);
+  m.smem_node_cache = false;
+  return m;
+}
 
 TEST(StaticRopes, ChainTreeRopes) {
   // Chain a -> b -> c: every rope is end-of-traversal (no siblings).
@@ -94,11 +102,10 @@ TEST(StaticRopes, GpuRopesMatchRecursiveBothVariants) {
   KdTree tree = build_kdtree(pts, 8);
   GpuAddressSpace space;
   PointCorrelationKernel k(tree, pts, 0.3f, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   auto rec = run_cpu(k, CpuVariant::kRecursive, 1);
   DeviceConfig cfg;
-  auto gn = run_gpu_ropes_sim(k, space, cfg, /*lockstep=*/false, ropes);
-  auto gl = run_gpu_ropes_sim(k, space, cfg, /*lockstep=*/true, ropes);
+  auto gn = run_gpu_sim(k, space, cfg, static_ropes_mode(/*lockstep=*/false));
+  auto gl = run_gpu_sim(k, space, cfg, static_ropes_mode(/*lockstep=*/true));
   EXPECT_EQ(gn.results, rec.results);
   EXPECT_EQ(gl.results, rec.results);
 }
@@ -108,10 +115,9 @@ TEST(StaticRopes, BarnesHutRopeTraversalMatches) {
   Octree tree = build_octree(b.pos, b.mass);
   GpuAddressSpace space;
   BarnesHutKernel k(tree, b.pos, 0.5f, 1e-4f, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   auto rec = run_cpu(k, CpuVariant::kRecursive, 1);
   DeviceConfig cfg;
-  auto gn = run_gpu_ropes_sim(k, space, cfg, false, ropes);
+  auto gn = run_gpu_sim(k, space, cfg, static_ropes_mode(false));
   for (std::size_t i = 0; i < b.pos.size(); ++i) {
     EXPECT_NEAR(gn.results[i].ax, rec.results[i].ax,
                 1e-4f * std::max(1.f, std::fabs(rec.results[i].ax)))
@@ -127,9 +133,8 @@ TEST(StaticRopes, LockstepVisitsUnionOnce) {
   GpuAddressSpace space;
   float r = pc_pick_radius(pts, 16, 5);
   PointCorrelationKernel k(tree, pts, r, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   DeviceConfig cfg;
-  auto gl = run_gpu_ropes_sim(k, space, cfg, true, ropes);
+  auto gl = run_gpu_sim(k, space, cfg, static_ropes_mode(true));
   EXPECT_LE(gl.stats.warp_pops,
             gl.n_warps * static_cast<std::size_t>(tree.topo.n_nodes));
 }
@@ -140,9 +145,8 @@ TEST(StaticRopes, NoStackTrafficComparedToAutoropes) {
   GpuAddressSpace space;
   float r = pc_pick_radius(pts, 16, 6);
   PointCorrelationKernel k(tree, pts, r, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   DeviceConfig cfg;
-  auto rope_run = run_gpu_ropes_sim(k, space, cfg, false, ropes);
+  auto rope_run = run_gpu_sim(k, space, cfg, static_ropes_mode(false));
   auto auto_run = run_gpu_sim(k, space, cfg, GpuMode{true, false});
   // Same node visits, strictly less memory traffic (no rope stack).
   EXPECT_EQ(rope_run.stats.lane_visits, auto_run.stats.lane_visits);
@@ -220,9 +224,9 @@ TEST(StaticRopes, FuzzEscapeIndexMatchesSubtreeSize) {
 
 // One canonical ineligibility spelling everywhere: the free function is
 // the single source, and every surface -- run_gpu_sim's throw, the launch
-// API's throw, the type-erased handle, batched admission's error rows,
-// the harness's "skipped:" rows (same call, see harness.cpp) -- renders
-// exactly that string behind its own prefix.
+// API's throw, the type-erased handle, the launch pool's admission error
+// rows, the harness's "skipped:" rows (same call, see harness.cpp) --
+// renders exactly that string behind its own prefix.
 TEST(VariantEligibility, OneCanonicalReasonAcrossSurfaces) {
   PointSet pts = gen_covtype_like(256, 7, 11);
   KdTreeNN tree = build_kdtree_nn(pts);
@@ -250,7 +254,14 @@ TEST(VariantEligibility, OneCanonicalReasonAcrossSurfaces) {
     spec.space = &space;
     spec.mode = GpuMode::from(v);
     EXPECT_EQ(spec.kernel->variant_ineligible_reason(v), reason);
-    BatchRun run = run_gpu_batch(std::span<const LaunchSpec>(&spec, 1), cfg);
+    try {
+      (void)spec.kernel->prepare(space, cfg, spec.mode, nullptr, nullptr, 0);
+      FAIL() << "KernelHandle::prepare accepted an ineligible pairing";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), "launch: " + reason);
+    }
+    const LaunchPool run =
+        run_launch_pool(std::span<const LaunchSpec>(&spec, 1), cfg);
     ASSERT_EQ(run.launches.size(), 1u);
     EXPECT_FALSE(run.launches[0].ok());
     EXPECT_EQ(run.launches[0].error, std::string("kernel ") +
