@@ -25,7 +25,7 @@ void BM_CoalescingCoalesced(benchmark::State& state) {
     acc.push_back({static_cast<std::uint64_t>(l) * 4, 4});
   std::vector<std::uint64_t> segs;
   for (auto _ : state)
-    benchmark::DoNotOptimize(segments_touched(acc, 128, segs));
+    benchmark::DoNotOptimize(coalesce(acc, 128, segs));
 }
 BENCHMARK(BM_CoalescingCoalesced);
 
@@ -35,7 +35,7 @@ void BM_CoalescingScattered(benchmark::State& state) {
   for (int l = 0; l < 32; ++l) acc.push_back({rng.next_u64() % (1 << 26), 20});
   std::vector<std::uint64_t> segs;
   for (auto _ : state)
-    benchmark::DoNotOptimize(segments_touched(acc, 128, segs));
+    benchmark::DoNotOptimize(coalesce(acc, 128, segs));
 }
 BENCHMARK(BM_CoalescingScattered);
 
@@ -48,20 +48,89 @@ void BM_L2Access(benchmark::State& state) {
 }
 BENCHMARK(BM_L2Access);
 
-void BM_WarpMemoryCommit(benchmark::State& state) {
+// WarpMemory::commit on the shapes a full-grid launch commits: a
+// field-annotated 32-byte node record (2 MiB array) with the warp's L2
+// slice on, plus a registered stack arena. Each iteration records one
+// commit's accesses and commits them.
+struct CommitFixture {
+  static constexpr std::uint32_t kElems = 1u << 16;
   GpuAddressSpace space;
   DeviceConfig cfg;
-  cfg.model_l2 = false;
   KernelStats stats;
-  BufferId buf = space.register_buffer("b", 8, 1 << 20);
-  WarpMemory mem(space, cfg, nullptr, stats);
-  Pcg32 rng(3);
+  BufferId nodes = space.register_buffer(
+      "nodes", 32, kElems, {{"lo", 0, 12}, {"hi", 12, 12}, {"link", 24, 8}});
+  BufferId arena = space.register_buffer("rope_stack", 1, 64 * 32 * 8);
+  L2Cache l2{cfg.l2_bytes / static_cast<std::size_t>(cfg.max_resident_warps()),
+             cfg.l2_line_bytes, cfg.l2_assoc};
+  WarpMemory mem{space, cfg, &l2, stats};
+  Pcg32 rng{3};
+  [[nodiscard]] std::uint32_t random_elem() { return rng.next_below(kElems); }
+};
+
+// One lane, one element: the most common commit in the grids.
+void BM_CommitSingleAccess(benchmark::State& state) {
+  CommitFixture f;
   for (auto _ : state) {
-    for (int l = 0; l < 32; ++l) mem.lane_load(l, buf, rng.next_below(1 << 20));
-    mem.commit();
+    f.mem.lane_load(0, f.nodes, f.random_elem());
+    f.mem.commit();
   }
 }
-BENCHMARK(BM_WarpMemoryCommit);
+BENCHMARK(BM_CommitSingleAccess);
+
+// All 32 lanes read the same node record (lockstep visit).
+void BM_CommitBroadcast(benchmark::State& state) {
+  CommitFixture f;
+  for (auto _ : state) {
+    const std::uint32_t e = f.random_elem();
+    for (int l = 0; l < 32; ++l) f.mem.lane_load(l, f.nodes, e);
+    f.mem.commit();
+  }
+}
+BENCHMARK(BM_CommitBroadcast);
+
+// 32 lanes read 32 consecutive records: 8 segments, addresses ascending.
+void BM_CommitCoalesced(benchmark::State& state) {
+  CommitFixture f;
+  std::uint32_t base = 0;
+  for (auto _ : state) {
+    for (int l = 0; l < 32; ++l)
+      f.mem.lane_load(l, f.nodes, (base + static_cast<std::uint32_t>(l)) %
+                                      CommitFixture::kElems);
+    base = (base + 32) % CommitFixture::kElems;
+    f.mem.commit();
+  }
+}
+BENCHMARK(BM_CommitCoalesced);
+
+// Two random records per lane: two load instructions (the second a
+// replay), one segment per lane each.
+void BM_CommitScattered2Rank(benchmark::State& state) {
+  CommitFixture f;
+  for (auto _ : state) {
+    for (int l = 0; l < 32; ++l) {
+      f.mem.lane_load(l, f.nodes, f.random_elem());
+      f.mem.lane_load(l, f.nodes, f.random_elem());
+    }
+    f.mem.commit();
+  }
+}
+BENCHMARK(BM_CommitScattered2Rank);
+
+// 32 lanes push an 8-byte entry at the same level of an interleaved rope
+// stack in the registered arena.
+void BM_CommitStackPush(benchmark::State& state) {
+  CommitFixture f;
+  const std::uint64_t base = f.space.addr(f.arena, 0);
+  std::uint64_t level = 0;
+  for (auto _ : state) {
+    for (int l = 0; l < 32; ++l)
+      f.mem.lane_stack_traffic(
+          l, base + (level * 32 + static_cast<std::uint64_t>(l)) * 8, 8);
+    level = (level + 1) % 64;
+    f.mem.commit();
+  }
+}
+BENCHMARK(BM_CommitStackPush);
 
 void BM_BuildKdTree(benchmark::State& state) {
   PointSet pts = gen_covtype_like(static_cast<std::size_t>(state.range(0)), 7, 4);

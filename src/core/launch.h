@@ -88,9 +88,13 @@ struct LaunchGeometry {
   std::uint64_t per_warp_span = 0; // stack-arena bytes per physical warp
 };
 
+// Every launch path sizes its launch here, before any slot fans out, so
+// a device the memory front end cannot model is rejected here rather than
+// inside the OpenMP slot loop.
 template <TraversalKernel K>
 [[nodiscard]] LaunchGeometry launch_geometry(const K& k, const DeviceConfig& cfg,
                                        const GpuMode& mode) {
+  WarpMemory::check_device(cfg);
   LaunchGeometry s;
   s.n = k.num_points();
   s.n_warps = (s.n + static_cast<std::size_t>(cfg.warp_size) - 1) /

@@ -99,6 +99,11 @@ class GpuAddressSpace {
   [[nodiscard]] const std::vector<BufferField>& fields(BufferId b) const {
     return buffers_[static_cast<std::size_t>(b)].fields;
   }
+  // One past the last live byte of `b`: its extent is [addr(b, 0), this).
+  [[nodiscard]] std::uint64_t live_end(BufferId b) const {
+    const Buffer& buf = buffers_[static_cast<std::size_t>(b)];
+    return buf.base + buf.elem_bytes * buf.n_elems;
+  }
   [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
   [[nodiscard]] std::uint64_t footprint_bytes() const { return next_; }
 
@@ -114,9 +119,8 @@ class GpuAddressSpace {
         buffers_.begin(), buffers_.end(), a,
         [](std::uint64_t x, const Buffer& b) { return x < b.base; });
     if (it == buffers_.begin()) return -1;
-    --it;
-    if (a >= it->base + it->elem_bytes * it->n_elems) return -1;
-    return static_cast<BufferId>(it - buffers_.begin());
+    const auto b = static_cast<BufferId>(it - buffers_.begin() - 1);
+    return a < live_end(b) ? b : -1;
   }
 
   // Bytes of field `f` of buffer `b` overlapped by the absolute byte range

@@ -1,5 +1,6 @@
 #include "simt/l2cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -9,34 +10,34 @@ L2Cache::L2Cache(std::size_t capacity_bytes, int line_bytes, int assoc)
     : line_bytes_(line_bytes), assoc_(assoc) {
   if (line_bytes <= 0 || assoc <= 0)
     throw std::invalid_argument("L2Cache: bad geometry");
+  line_shift_ = std::has_single_bit(static_cast<unsigned>(line_bytes))
+                    ? std::countr_zero(static_cast<unsigned>(line_bytes))
+                    : -1;
   std::size_t lines = capacity_bytes / static_cast<std::size_t>(line_bytes);
   std::size_t sets = lines / static_cast<std::size_t>(assoc);
   sets_ = sets == 0 ? 1 : std::bit_floor(sets);
-  ways_.assign(sets_ * static_cast<std::size_t>(assoc_), Way{});
+  lines_.assign(sets_ * static_cast<std::size_t>(assoc_), kEmpty);
 }
 
 bool L2Cache::access(std::uint64_t addr) {
-  std::uint64_t line = addr / static_cast<std::uint64_t>(line_bytes_);
-  std::size_t set = static_cast<std::size_t>(line) & (sets_ - 1);
-  std::uint64_t tag = line / sets_;
-  Way* base = &ways_[set * static_cast<std::size_t>(assoc_)];
-  ++tick_;
-  int victim = 0;
-  for (int w = 0; w < assoc_; ++w) {
-    if (base[w].tag == tag) {
-      base[w].lru = tick_;
-      return true;
-    }
-    if (base[w].lru < base[victim].lru) victim = w;
+  const std::uint64_t line =
+      line_shift_ >= 0 ? addr >> line_shift_
+                       : addr / static_cast<std::uint64_t>(line_bytes_);
+  std::uint64_t* set =
+      &lines_[(static_cast<std::size_t>(line) & (sets_ - 1)) *
+              static_cast<std::size_t>(assoc_)];
+  // Move to front in one pass: shift each line down a rank until the
+  // accessed line is found (hit) or the LRU line falls off the end (miss).
+  std::uint64_t carry = line;
+  for (int r = 0; r < assoc_; ++r) {
+    const std::uint64_t here = set[r];
+    set[r] = carry;
+    if (here == line) return true;
+    carry = here;
   }
-  base[victim].tag = tag;
-  base[victim].lru = tick_;
   return false;
 }
 
-void L2Cache::clear() {
-  ways_.assign(ways_.size(), Way{});
-  tick_ = 0;
-}
+void L2Cache::clear() { std::fill(lines_.begin(), lines_.end(), kEmpty); }
 
 }  // namespace tt

@@ -9,6 +9,8 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_algos/harness.h"
@@ -274,6 +276,56 @@ TEST(RunGpuBatch, ByteIdenticalUnderStripMinedResidency) {
   }
   expect_matches_solo(run.launches[0], solo_pc);
   expect_matches_solo(run.launches[1], solo_nn);
+}
+
+// Lane masks are 32-bit words and the per-lane arrays hold 32 lanes, so
+// launch_geometry -- which every launch path goes through -- rejects a
+// DeviceConfig::warp_size outside 1..32 before any slot runs.
+TEST(LaunchGeometry, RejectsWarpSizeOutsideOneToThirtyTwo) {
+  BatchFixtures f;
+  const auto expect_rejected = [](auto&& launch) {
+    try {
+      launch();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("warp_size"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Variant v : {Variant::kAutoNolockstep, Variant::kAutoLockstep}) {
+    const GpuMode mode = GpuMode::from(v);
+    for (const int ws : {0, 33, 64}) {
+      SCOPED_TRACE(std::string(variant_name(v)) + " warp_size " +
+                   std::to_string(ws));
+      DeviceConfig cfg;
+      cfg.warp_size = ws;
+      expect_rejected([&] { (void)run_gpu_sim(*f.pc, f.pc_space, cfg, mode); });
+      const std::vector<LaunchSpec> specs{
+          LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr}};
+      expect_rejected([&] { (void)run_launch_pool(specs, cfg); });
+    }
+  }
+  for (const int ws : {1, 32}) {
+    DeviceConfig cfg;
+    cfg.warp_size = ws;
+    const GpuMode mode = GpuMode::from(Variant::kAutoNolockstep);
+    EXPECT_EQ(run_gpu_sim(*f.pc, f.pc_space, cfg, mode).results.size(),
+              f.pc_pts.size());
+  }
+}
+
+// Segment ids are address shifts, so a transaction size that is not a
+// power of two is rejected up front too, not inside the slot loop.
+TEST(LaunchGeometry, RejectsNonPowerOfTwoTransactions) {
+  BatchFixtures f;
+  DeviceConfig cfg;
+  cfg.transaction_bytes = 96;
+  const GpuMode mode = GpuMode::from(Variant::kAutoNolockstep);
+  EXPECT_THROW((void)run_gpu_sim(*f.pc, f.pc_space, cfg, mode),
+               std::invalid_argument);
+  const std::vector<LaunchSpec> specs{
+      LaunchSpec{make_kernel_handle(*f.pc), &f.pc_space, mode, nullptr}};
+  EXPECT_THROW((void)run_launch_pool(specs, cfg), std::invalid_argument);
 }
 
 TEST(RunGpuBatch, TypedResultViewChecksStride) {
