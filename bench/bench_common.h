@@ -121,7 +121,7 @@ inline obs::RunReport make_report(const Cli& cli,
   obs::RunReport report(generator);
   report.set_seed(static_cast<std::uint64_t>(cli.get_int("seed")));
   report.set_include_volatile(cli.get_flag("json-volatile"));
-  // --profile also unlocks the schema-v9 per-buffer "memory" attribution
+  // --profile also unlocks the per-buffer "memory" attribution
   // blocks (attribution is always collected; export is opt-in).
   report.set_include_memory(cli.get_flag("profile"));
   report.set_device(DeviceConfig{});

@@ -17,7 +17,7 @@
 // variants (BH's fanout-8 octree cannot index_walk) appear as failed rows
 // carrying the canonical kernel_variant_ineligible_reason string.
 //
-// --json emits the schema-v8 "fusion" block; tools/json_validate re-derives
+// --json emits the "fusion" block; tools/json_validate re-derives
 // the fused-visits <= summed-constituent-visits invariant from it, and
 // scripts/bench_snapshot.sh distills the run into BENCH_fusion.json.
 #include <cstring>

@@ -27,7 +27,7 @@
 //                       split buys nothing there.
 //
 // With --json the report also carries the full run_bench rows; under
-// --profile each ok variant embeds its schema-v9 "memory" block, whose
+// --profile each ok variant embeds its "memory" block, whose
 // row sums tools/json_validate re-checks against the aggregate
 // KernelStats counters with exact equality. All emitted numbers are
 // deterministic (modelled counters, no wall clock), so the report is

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
     // The query pool: one prepared kernel per selected benchmark (first
-    // input of each, sorted) -- the same cells table1 --batch runs.
+    // input of each, sorted) -- the same cells bench/sharding shards.
     std::vector<PoolEntry> pool;
     for (Algo a : benchx::parse_algos(cli.get_string("benchmarks"))) {
       PoolEntry e;

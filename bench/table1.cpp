@@ -88,102 +88,6 @@ void add_rows(Table& table, const BenchRow& row) {
   });
 }
 
-// --batch: the selected benchmarks (first input of each, sorted) as ONE
-// batched launch through the closed-batch mode of core/serving.h's
-// session API (harness run_batch). Per-kernel numbers are
-// byte-identical to the solo rows; what changes is the launch/transfer
-// accounting, which the summary lines below the table report.
-int run_batched(const Cli& cli, obs::RunReport& report,
-                const benchx::ChromeTrace& chrome) {
-  BatchConfig bc;
-  bc.variant = variant_from_name(cli.get_string("batch-variant"));
-  bc.policy = batch_policy_from_name(cli.get_string("batch-policy"));
-  const long long grid_limit = cli.get_int("batch-grid-limit");
-  if (grid_limit < 0)
-    throw std::invalid_argument("--batch-grid-limit must be >= 0");
-  bc.grid_limit = static_cast<std::size_t>(grid_limit);
-  bc.profile = cli.get_flag("profile");
-  bc.chrome = chrome.collector();
-  for (Algo a : benchx::parse_algos(cli.get_string("benchmarks")))
-    bc.items.push_back(
-        benchx::config_from(cli, a, inputs_for(a).front(), /*sorted=*/true));
-
-  BatchResult b = run_batch(bc);
-  report.set_batch(b);
-
-  Table table({"Kernel", "Benchmark", "Input", "Type", "Time(ms)", "AvgNodes",
-               "SoloXfer(ms)"});
-  for (const BatchKernelRow& k : b.kernels) {
-    if (!k.result.ok()) {
-      table.add_row({k.kernel_name, algo_name(k.config.algo),
-                     input_name(k.config.input), "-", "FAILED", "-", "-"});
-      continue;
-    }
-    std::string type = variant_name(bc.variant);
-    if (k.result.selection)
-      type = k.result.selection->chosen == Variant::kAutoLockstep ? "A[L]"
-                                                                  : "A[N]";
-    table.add_row({
-        k.kernel_name,
-        algo_name(k.config.algo),
-        input_name(k.config.input),
-        type,
-        fmt_fixed(k.result.time_ms, 3),
-        fmt_fixed(k.avg_nodes, 0),
-        fmt_fixed(k.solo_transfer_ms(b.transfer), 3),
-    });
-  }
-  benchx::emit(table, cli.get_flag("csv"));
-  report.add_table("table1_batch", table);
-
-  std::cerr << "# batch: " << b.kernels.size() << " kernels, policy "
-            << batch_policy_name(b.policy) << ", residency " << b.residency
-            << ", " << b.total_chunks << " chunks over " << b.rounds
-            << " rounds (" << b.switches << " kernel switches)\n"
-            << "# transfer: amortized " << fmt_fixed(b.amortized_transfer_ms(), 3)
-            << " ms vs summed solo " << fmt_fixed(b.summed_solo_transfer_ms(), 3)
-            << " ms\n";
-
-  int failed = 0;
-  for (const BatchKernelRow& k : b.kernels)
-    if (!k.result.ok()) {
-      std::cerr << "# batch kernel failed: " << k.result.error << "\n";
-      ++failed;
-    }
-
-  if (cli.get_int("devices") < 1)
-    throw std::invalid_argument("--devices must be >= 1");
-  if (cli.get_int("shard-chunk") < 1)
-    throw std::invalid_argument("--shard-chunk must be >= 1");
-  if (cli.get_int("devices") > 1) {
-    // Re-run the same items sharded across the device group; the merged
-    // results are byte-identical to the batch by the sharding contract,
-    // so this only adds the multi-device makespan accounting.
-    ShardingConfig sc;
-    sc.items = bc.items;
-    sc.variant = bc.variant;
-    sc.policy = bc.policy;
-    sc.devices = static_cast<std::size_t>(cli.get_int("devices"));
-    sc.chunk_points = static_cast<std::size_t>(cli.get_int("shard-chunk"));
-    sc.grid_limit = bc.grid_limit;
-    ShardingRunSummary sharded = run_sharding(sc);
-    for (const ShardingKernelReport& k : sharded.kernels)
-      if (!k.ok()) {
-        std::cerr << "# sharded kernel failed: " << k.error << "\n";
-        ++failed;
-      }
-    std::cerr << "# sharded: " << sharded.devices << " devices, solo "
-              << fmt_fixed(sharded.single_device_ms(), 3)
-              << " ms -> makespan " << fmt_fixed(sharded.makespan_ms(), 3)
-              << " ms (" << fmt_fixed(sharded.speedup(), 2) << "x)\n";
-    report.set_sharding(sharded);
-  }
-
-  if (!benchx::maybe_write_report(cli, report)) return 1;
-  if (!chrome.write()) return 1;
-  return failed == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,29 +95,8 @@ int main(int argc, char** argv) {
       "table1: paper Table 1 -- per-variant traversal time, avg nodes, "
       "speedups vs CPU, improvement vs recursive GPU");
   benchx::add_common_flags(cli);
-  cli.add_flag("batch", false,
-               "run the selected benchmarks (first input, sorted) as one "
-               "batched multi-kernel launch instead of the per-row grid");
-  cli.add_string("batch-policy", "round_robin",
-                 "batch chunk interleaving: round_robin or sequential "
-                 "(accounting only; results are identical)");
-  cli.add_string("batch-variant", "auto_select",
-                 "the composition every batched launch simulates");
-  cli.add_int("batch-grid-limit", 0,
-              "Figure 9b strip-mining limit per launch (0 = no limit)");
-  cli.add_int("devices", 1,
-              "--batch only: also shard each batched kernel across this "
-              "many simulated devices (core/device_group.h) and embed the "
-              "schema-v6 \"devices\" block in the --json report");
-  cli.add_int("shard-chunk", 1024,
-              "--batch only: points per pipelined upload chunk for the "
-              "--devices sharded run");
   return benchx::run_main(cli, argc, argv, "table1", [&]() -> int {
     benchx::ChromeTrace chrome(cli);
-    if (cli.get_flag("batch")) {
-      obs::RunReport report = benchx::make_report(cli, "table1");
-      return run_batched(cli, report, chrome);
-    }
     Table table({"Benchmark", "Input", "Order", "Type", "Time(ms)",
                  "AvgNodes", "vs1T", "vs32T", "vsRecurse", "Xfer(ms)"});
     obs::RunReport report = benchx::make_report(cli, "table1");

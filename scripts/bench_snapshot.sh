@@ -20,25 +20,18 @@ if [[ ! -x "$build/bench/table1" ]]; then
 fi
 
 raw="$(mktemp /tmp/bench_snapshot_XXXX.json)"
-batch_raw="$(mktemp /tmp/bench_snapshot_batch_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw"' EXIT
+trap 'rm -f "$raw"' EXIT
 
 echo "== table1 (pc+nn, 512 points) =="
 "$build/bench/table1" --benchmarks=pc,nn --points=512 \
   --json="$raw" --json-volatile >/dev/null
 
-echo "== table1 --batch (all five, 512 points/bodies) =="
-"$build/bench/table1" --batch --points=512 --bodies=512 \
-  --json="$batch_raw" >/dev/null
-
-python3 - "$raw" "$batch_raw" "$out" <<'PY'
+python3 - "$raw" "$out" <<'PY'
 import json, sys
 
-raw_path, batch_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+raw_path, out_path = sys.argv[1], sys.argv[2]
 with open(raw_path) as f:
     report = json.load(f)
-with open(batch_path) as f:
-    batch_report = json.load(f)
 
 snapshot = {
     "schema": "treetrav.bench_snapshot/v1",
@@ -74,36 +67,6 @@ for row in report["rows"]:
         cell["variants"][name] = entry
     snapshot["cells"].append(cell)
 
-# Batched columns: the five Table-1 kernels as one simulated launch.
-# Per-kernel numbers equal the solo rows by contract; what this snapshot
-# tracks is the schedule accounting and the amortized transfer saving.
-b = batch_report.get("batch")
-if b is not None:
-    batch = {
-        "source": "table1 --batch --points=512 --bodies=512",
-        "policy": b["policy"],
-        "variant": b["variant"],
-        "residency": b["residency"],
-        "total_chunks": b["total_chunks"],
-        "rounds": b["rounds"],
-        "switches": b["switches"],
-        "transfer": {
-            "amortized_ms": b["transfer"]["amortized_ms"],
-            "summed_solo_ms": b["transfer"]["summed_solo_ms"],
-        },
-        "kernels": {},
-    }
-    for k in b["kernels"]:
-        if not k.get("ok", False):
-            batch["kernels"][k["kernel"]] = {"error": k.get("error", "failed")}
-            continue
-        batch["kernels"][k["kernel"]] = {
-            "instr_cycles": k["stats"]["instr_cycles"],
-            "modelled_ms": k["time_ms"],
-            "solo_transfer_ms": k["solo_transfer_ms"],
-        }
-    snapshot["batch"] = batch
-
 with open(out_path, "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=False)
     f.write("\n")
@@ -116,7 +79,7 @@ PY
 # in it is modelled time, so the file only changes when behavior does.
 serving_out="${2:-$repo/BENCH_serving.json}"
 serving_raw="$(mktemp /tmp/bench_snapshot_serving_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw"' EXIT
 
 if [[ ! -x "$build/bench/serving" ]]; then
   echo "== building serving =="
@@ -180,7 +143,7 @@ PY
 # chunk-size sweep. All modelled time; changes only when behavior does.
 sharding_out="${3:-$repo/BENCH_sharding.json}"
 sharding_raw="$(mktemp /tmp/bench_snapshot_sharding_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$sharding_raw"' EXIT
 
 if [[ ! -x "$build/bench/sharding" ]]; then
   echo "== building sharding =="
@@ -258,7 +221,7 @@ PY
 # the static-ropes install pass, taken from the --json-volatile table.
 ropes_out="${4:-$repo/BENCH_ropes.json}"
 ropes_raw="$(mktemp /tmp/bench_snapshot_ropes_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw"' EXIT
 
 if [[ ! -x "$build/bench/ablation_ropes" ]]; then
   echo "== building ablation_ropes =="
@@ -338,7 +301,7 @@ PY
 # All modelled time; changes only when behavior does.
 fusion_out="${FUSION_JSON:-$repo/BENCH_fusion.json}"
 fusion_raw="$(mktemp /tmp/bench_snapshot_fusion_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw"' EXIT
 
 if [[ ! -x "$build/bench/fusion" ]]; then
   echo "== building fusion =="
@@ -411,7 +374,7 @@ PY
 # modelled; the file changes only when behavior does.
 memprof_out="${MEMPROF_JSON:-$repo/BENCH_memprof.json}"
 memprof_raw="$(mktemp /tmp/bench_snapshot_memprof_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw" "$memprof_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw" "$memprof_raw"' EXIT
 
 if [[ ! -x "$build/bench/memprof" ]]; then
   echo "== building memprof =="

@@ -279,7 +279,7 @@ void apply_order(PointSet& pts, const BenchConfig& cfg) {
 }
 
 // Generate + order the Barnes-Hut body set (shared by the solo and
-// batched paths so both traverse the identical input).
+// prepared-kernel paths so both traverse the identical input).
 BodySet make_bh_input(const BenchConfig& cfg) {
   if (cfg.input != InputKind::kPlummer && cfg.input != InputKind::kRandomBodies)
     throw std::invalid_argument("run_bench: BH needs a body input");
@@ -413,7 +413,7 @@ std::shared_ptr<KernelHandle> owning_handle(
 
 // Construct one item's kernel exactly the way run_bench does for its solo
 // row (same generators, ordering, tree builders, radius picking), so the
-// batched or served launch traverses the identical input in an
+// served or sharded launch traverses the identical input in an
 // identically laid-out address space.
 std::unique_ptr<PreparedKernel> prepare_kernel(const BenchConfig& cfg) {
   auto out = std::make_unique<PreparedKernel>();
@@ -464,94 +464,12 @@ std::unique_ptr<PreparedKernel> prepare_kernel(const BenchConfig& cfg) {
     }
   }
   // Copy-in/copy-out accounting, as in run_all: everything registered so
-  // far (tree + points) crosses the bus; the stack arena the batched
-  // executor adds later is device-internal.
+  // far (tree + points) crosses the bus; the stack arena the launch
+  // engine adds later is device-internal.
   out->upload_bytes = out->space.footprint_bytes();
   out->download_bytes = static_cast<std::uint64_t>(
       out->handle->result_stride() * out->handle->num_points());
   return out;
-}
-
-BatchResult run_batch(const BatchConfig& cfg) {
-  if (cfg.items.empty())
-    throw std::invalid_argument("run_batch: batch has no items");
-  BatchResult out;
-  out.variant = cfg.variant;
-  out.policy = cfg.policy;
-
-  // A closed batch: every launch known up front, simulated as one device
-  // residency (run_launch_pool), with the schedule accounting of the
-  // batch's launch shapes under the configured interleaving policy.
-  std::vector<std::unique_ptr<PreparedKernel>> prepared;
-  std::vector<LaunchSpec> specs;
-  // Per-launch profiler sinks; unique_ptrs keep the addresses handed to
-  // the specs stable while the vector grows.
-  std::vector<std::unique_ptr<obs::ProfileSink>> psinks;
-  prepared.reserve(cfg.items.size());
-  specs.reserve(cfg.items.size());
-  for (const BenchConfig& item : cfg.items) {
-    prepared.push_back(prepare_kernel(item));
-    PreparedKernel& pl = *prepared.back();
-    LaunchSpec spec;
-    spec.kernel = pl.handle;
-    spec.space = &pl.space;
-    spec.mode = GpuMode::from(cfg.variant);
-    spec.mode.grid_limit = cfg.grid_limit;
-    spec.mode.profile_samples = item.profile_samples;
-    spec.mode.profile_seed = item.profile_seed;
-    if (cfg.chrome) spec.trace = &cfg.chrome->begin_launch(pl.handle->name());
-    if (cfg.profile) {
-      psinks.push_back(std::make_unique<obs::ProfileSink>());
-      spec.profile = psinks.back().get();
-    }
-    specs.push_back(std::move(spec));
-  }
-  LaunchPool run = run_launch_pool(specs, cfg.device);
-  BatchScheduler sched(cfg.policy);
-  for (const LaunchGeometry& shape : run.shapes) sched.add_launch(shape);
-  const BatchSchedule bs = sched.schedule();
-  out.residency = bs.residency;
-  out.total_chunks = bs.total_chunks;
-  out.rounds = bs.rounds;
-  out.switches = bs.switches;
-  out.sim_wall_ms = run.sim_wall_ms;
-
-  out.kernels.reserve(run.launches.size());
-  for (std::size_t i = 0; i < run.launches.size(); ++i) {
-    const LaunchResult& lr = run.launches[i];
-    BatchKernelRow row;
-    row.config = cfg.items[i];
-    row.kernel_name = lr.kernel_name;
-    row.upload_bytes = prepared[i]->upload_bytes;
-    row.download_bytes = prepared[i]->download_bytes;
-    if (lr.ok()) {
-      row.result.stats = lr.stats;
-      row.result.time = lr.time;
-      row.result.time_ms = lr.time.total_ms;
-      row.result.avg_nodes = lr.avg_nodes();
-      row.result.selection = lr.selection;
-      row.result.profile = lr.profile;
-      row.avg_nodes = row.result.avg_nodes;
-    } else {
-      row.result.error = lr.error;
-    }
-    out.upload_bytes += row.upload_bytes;
-    out.download_bytes += row.download_bytes;
-    out.kernels.push_back(std::move(row));
-  }
-  return out;
-}
-
-BatchConfig default_table1_batch() {
-  BatchConfig batch;
-  for (Algo a : {Algo::kBH, Algo::kPC, Algo::kKNN, Algo::kNN, Algo::kVP}) {
-    BenchConfig c;
-    c.algo = a;
-    c.input = inputs_for(a).front();
-    c.sorted = true;
-    batch.items.push_back(c);
-  }
-  return batch;
 }
 
 ShardingRunSummary run_sharding(const ShardingConfig& config) {

@@ -175,7 +175,7 @@ struct BenchRow {
 BenchRow run_bench(const BenchConfig& config);
 
 // ---------------------------------------------------------------------
-// Batched multi-kernel runs (core/serving.h behind the harness).
+// Prepared kernels: the unit bench/serving submits and run_sharding shards.
 // ---------------------------------------------------------------------
 
 // One prepared benchmark kernel, fully owned: the launch's address space
@@ -183,7 +183,7 @@ BenchRow run_bench(const BenchConfig& config);
 // kernel object so everything outlives the run. Built exactly the way
 // run_bench builds the item's solo row (same generators, ordering, tree
 // builders, radius picking). This is the unit bench/serving submits as a
-// core QuerySet, and what run_batch builds per item.
+// core QuerySet, and what run_sharding builds per item.
 struct PreparedKernel {
   GpuAddressSpace space;
   std::shared_ptr<KernelHandle> handle;
@@ -194,77 +194,6 @@ struct PreparedKernel {
 // BH builds the initial octree only -- one timestep.
 [[nodiscard]] std::unique_ptr<PreparedKernel> prepare_kernel(
     const BenchConfig& cfg);
-
-// One batched harness run: every item becomes one LaunchSpec (own input,
-// own tree, own address space -- built exactly like its run_bench solo
-// row) and all launches share a single simulated device residency.
-struct BatchConfig {
-  std::vector<BenchConfig> items;
-  // The composition every launch simulates. auto_select (the default)
-  // resolves per launch, like solo.
-  Variant variant = Variant::kAutoSelect;
-  BatchPolicy policy = BatchPolicy::kRoundRobin;
-  std::size_t grid_limit = 0;  // Figure 9b strip-mining, per launch
-  DeviceConfig device;         // one GPU; items' device fields are ignored
-  // Same observability knobs as BenchConfig: per-launch profiles into
-  // BatchKernelRow::result.profile, and one chrome-trace track per launch
-  // (named after the kernel) when `chrome` is set.
-  bool profile = false;
-  obs::ChromeTraceCollector* chrome = nullptr;
-};
-
-// Per-kernel row of a batched run: the launch's isolated measurements
-// plus its solo transfer accounting (what it would have paid alone).
-struct BatchKernelRow {
-  BenchConfig config;       // the item that produced this launch
-  std::string kernel_name;  // K::kName
-  VariantResult result;     // same shape as a solo variant column
-  double avg_nodes = 0;
-  std::uint64_t upload_bytes = 0;
-  std::uint64_t download_bytes = 0;
-  [[nodiscard]] double solo_transfer_ms(const TransferModel& t) const {
-    return t.round_trip_ms(upload_bytes, download_bytes);
-  }
-};
-
-struct BatchResult {
-  std::vector<BatchKernelRow> kernels;
-  Variant variant = Variant::kAutoSelect;
-  BatchPolicy policy = BatchPolicy::kRoundRobin;
-  // Schedule accounting (see BatchSchedule).
-  std::size_t residency = 0;
-  std::size_t total_chunks = 0;
-  std::size_t rounds = 0;
-  std::size_t switches = 0;
-  // Batch-level transfer: all launches' bytes over one amortized round
-  // trip (a single launch overhead for the whole batch).
-  std::uint64_t upload_bytes = 0;
-  std::uint64_t download_bytes = 0;
-  TransferModel transfer;
-  double sim_wall_ms = 0;
-
-  [[nodiscard]] double amortized_transfer_ms() const {
-    return transfer.round_trip_ms(upload_bytes, download_bytes, 1);
-  }
-  // What the same kernels pay as separate solo launches. Strictly larger
-  // than amortized_transfer_ms for >= 2 kernels: same bytes, but one
-  // launch overhead per kernel instead of one per batch.
-  [[nodiscard]] double summed_solo_transfer_ms() const {
-    double s = 0;
-    for (const BatchKernelRow& k : kernels) s += k.solo_transfer_ms(transfer);
-    return s;
-  }
-};
-
-// Build every item's kernel and run them as one batched launch. Results
-// are byte-identical to each item's solo run (pinned by
-// tests/core/batch_scheduler_test.cpp); only launch/transfer accounting
-// changes. BH items run a single timestep (multi-timestep accumulation is
-// a solo-row concept). Throws std::invalid_argument on an empty batch.
-BatchResult run_batch(const BatchConfig& config);
-
-// The five Table-1 benchmarks (first input of each, sorted) as one batch.
-[[nodiscard]] BatchConfig default_table1_batch();
 
 // ---------------------------------------------------------------------
 // Multi-device sharded runs (core/device_group.h behind the harness).

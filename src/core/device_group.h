@@ -117,7 +117,7 @@ struct ShardedRun {
                                      const DeviceGroupConfig& cfg);
 
 // ---------------------------------------------------------------------
-// Report-facing bundle (obs/run_report.h schema-v6 "devices" block).
+// Report-facing bundle (the obs/run_report.h "devices" block).
 // ---------------------------------------------------------------------
 
 // One kernel's sharded run, as the report serializes it.

@@ -26,7 +26,7 @@
 // the variant fuzzer). What changes is the cost: shared node loads are
 // served once (WarpMemory shared-load elision, keyed on
 // kSharedNodeLoads), and the tree is walked once instead of twice, which
-// is where the visit/mem_stall bucket savings in the schema-v8 fusion
+// is where the visit/mem_stall bucket savings in the report's fusion
 // block come from.
 //
 // Requirements on the constituents (checked at compile time / construct

@@ -305,7 +305,7 @@ class ServingSession {
                                                std::uint64_t seed);
 
 // ---------------------------------------------------------------------
-// Report-facing bundle (obs/run_report.h schema-v5 "serving" block).
+// Report-facing bundle (the obs/run_report.h "serving" block).
 // ---------------------------------------------------------------------
 
 // One point of the drain-cadence sweep: the batching-delay vs transfer-

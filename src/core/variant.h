@@ -44,15 +44,6 @@ inline constexpr std::array<Variant, kNumVariants> kAllVariants{
     Variant::kAutoSelect,        Variant::kStacklessLockstep,
     Variant::kStacklessNolockstep, Variant::kIndexWalk};
 
-// The four fixed compositions of the original evaluation. Golden fixtures
-// captured before `auto_select` existed compare against exactly this set
-// (tools/json_validate --golden).
-inline constexpr std::size_t kNumLegacyVariants = 4;
-
-inline constexpr std::array<Variant, kNumLegacyVariants> kLegacyVariants{
-    Variant::kAutoLockstep, Variant::kAutoNolockstep, Variant::kRecLockstep,
-    Variant::kRecNolockstep};
-
 [[nodiscard]] constexpr const char* variant_name(Variant v) {
   switch (v) {
     case Variant::kAutoLockstep: return "auto_lockstep";
@@ -201,7 +192,7 @@ class VariantSet {
 // The launch-time decision record of the auto_select variant: what the
 // section-4.4 sampler measured and which composition it dispatched to.
 // Carried on GpuRun / VariantResult and exported as the "selection" block
-// of the RunReport JSON (schema v2).
+// of the RunReport JSON.
 struct SelectionInfo {
   double mean_similarity = 0;      // mean Jaccard over adjacent sampled pairs
   double baseline_similarity = 0;  // mean Jaccard over random pairs

@@ -24,7 +24,7 @@
 //     tests/core/variant_fuzz_test.cpp and tools/json_validate.
 //
 //   write_profile_json
-//     The schema-v4 "profile" block (obs/run_report.h), shared by the
+//     The "profile" block (obs/run_report.h), shared by the
 //     RunReport exporter and tests.
 #pragma once
 
@@ -171,10 +171,10 @@ struct ProfileReport {
     const KernelStats& stats, const DeviceConfig& cfg,
     const ProfileCollector* collector = nullptr, std::size_t top_k = 16);
 
-// The schema-v4 "profile" block (see obs/run_report.h).
+// The "profile" block (see obs/run_report.h).
 void write_profile_json(JsonWriter& w, const ProfileReport& p);
 
-// The schema-v9 "memory" block (see obs/run_report.h): the per-buffer /
+// The "memory" block (see obs/run_report.h): the per-buffer /
 // per-field traffic attribution of one launch (simt/memory_attr.h),
 // buffers sorted by name, fields in registration order plus the implicit
 // "(other)" share. The invariants tools/json_validate re-derives -- row

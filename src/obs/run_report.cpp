@@ -155,40 +155,6 @@ MetricsRegistry metrics_for_row(const BenchRow& row) {
   return reg;
 }
 
-MetricsRegistry metrics_for_batch(const BatchResult& batch) {
-  MetricsRegistry reg;
-  for (const BatchKernelRow& k : batch.kernels) {
-    if (!k.result.ok()) continue;
-    std::string prefix = "gpu/batch/" + k.kernel_name + "/";
-    register_kernel_stats(reg, k.result.stats, prefix);
-    register_time_breakdown(reg, k.result.time, prefix);
-    if (k.result.profile) {
-      for (std::size_t b = 0; b < kNumCycleBuckets; ++b)
-        reg.set_gauge(prefix + "profile/" +
-                          cycle_bucket_name(static_cast<CycleBucket>(b)) +
-                          "_cycles",
-                      k.result.profile->buckets[b]);
-      reg.set_gauge(prefix + "profile/memory_cycles",
-                    k.result.profile->memory_cycles);
-    }
-  }
-  reg.add_counter("gpu/batch/kernels",
-                  static_cast<std::uint64_t>(batch.kernels.size()));
-  reg.add_counter("gpu/batch/residency",
-                  static_cast<std::uint64_t>(batch.residency));
-  reg.add_counter("gpu/batch/total_chunks",
-                  static_cast<std::uint64_t>(batch.total_chunks));
-  reg.add_counter("gpu/batch/rounds",
-                  static_cast<std::uint64_t>(batch.rounds));
-  reg.add_counter("gpu/batch/switches",
-                  static_cast<std::uint64_t>(batch.switches));
-  reg.set_gauge("gpu/batch/transfer/amortized_ms",
-                batch.amortized_transfer_ms());
-  reg.set_gauge("gpu/batch/transfer/summed_solo_ms",
-                batch.summed_solo_transfer_ms());
-  return reg;
-}
-
 MetricsRegistry metrics_for_sharding(const ShardingRunSummary& sharding) {
   MetricsRegistry reg;
   reg.add_counter("sharding/devices",
@@ -371,65 +337,6 @@ void RunReport::write(std::ostream& os) const {
     w.end_object();  // row
   }
   w.end_array();
-
-  if (batch_) {
-    const BatchResult& b = *batch_;
-    w.member_object("batch");
-    w.member("variant", variant_name(b.variant));
-    w.member("policy", batch_policy_name(b.policy));
-    w.member("residency", static_cast<std::uint64_t>(b.residency));
-    w.member("total_chunks", static_cast<std::uint64_t>(b.total_chunks));
-    w.member("rounds", static_cast<std::uint64_t>(b.rounds));
-    w.member("switches", static_cast<std::uint64_t>(b.switches));
-
-    w.member_array("kernels");
-    for (const BatchKernelRow& k : b.kernels) {
-      w.begin_object();
-      w.member("kernel", k.kernel_name);
-      w.key("config");
-      write_config(w, k.config);
-      w.member("ok", k.result.ok());
-      if (!k.result.ok()) w.member("error", k.result.error);
-      w.member("time_ms", k.result.time_ms);
-      w.member("avg_nodes", k.avg_nodes);
-      w.key("stats");
-      write_kernel_stats(w, k.result.stats);
-      w.key("time");
-      write_time(w, k.result.time);
-      if (k.result.selection) {
-        w.key("selection");
-        write_selection(w, *k.result.selection);
-      }
-      if (k.result.profile) {
-        w.key("profile");
-        write_profile_json(w, *k.result.profile);
-      }
-      if (include_memory_ && !k.result.stats.memory.empty()) {
-        w.key("memory");
-        write_memory_json(w, k.result.stats.memory);
-      }
-      w.member("upload_bytes", k.upload_bytes);
-      w.member("download_bytes", k.download_bytes);
-      w.member("solo_transfer_ms", k.solo_transfer_ms(b.transfer));
-      w.end_object();
-    }
-    w.end_array();
-
-    w.member_object("transfer");
-    w.member("upload_bytes", b.upload_bytes);
-    w.member("download_bytes", b.download_bytes);
-    w.member("pcie_gbps", b.transfer.pcie_gbps);
-    w.member("launch_overhead_ms", b.transfer.launch_overhead_ms);
-    w.member("amortized_ms", b.amortized_transfer_ms());
-    w.member("summed_solo_ms", b.summed_solo_transfer_ms());
-    w.end_object();
-
-    w.key("metrics");
-    metrics_for_batch(b).write_json(w);
-
-    if (include_volatile_) w.member("sim_wall_ms", b.sim_wall_ms);
-    w.end_object();  // batch
-  }
 
   if (serving_) {
     const ServingRunSummary& s = *serving_;

@@ -2,11 +2,11 @@
 //
 // A report bundles everything needed to interpret (and re-plot) a run
 // without the binary that produced it: the device model, every BenchRow
-// with all five variants' counters and modelled time breakdowns, the
-// emitted human tables, and a MetricsRegistry snapshot per row. Reports
-// are deterministic -- measured wall-clock values (cpu_t1_ms, sim_wall_ms
-// and everything derived from them) are excluded unless `include_volatile`
-// is set -- so re-running the same binary with the same flags produces a
+// with all variants' counters and modelled time breakdowns, the emitted
+// human tables, and a MetricsRegistry snapshot per row. Reports are
+// deterministic -- measured wall-clock values (cpu_t1_ms, sim_wall_ms and
+// everything derived from them) are excluded unless `include_volatile` is
+// set -- so re-running the same binary with the same flags produces a
 // byte-identical file. Schema changes bump kRunReportSchema.
 #pragma once
 
@@ -23,63 +23,33 @@
 
 namespace tt::obs {
 
-// v2: adds the optional "selection" block to variant objects (the
-// auto_select launch decision) and the gpu/auto_select/selection/*
-// metrics. Golden fixtures captured at v1 are compared legacy-variant-only
-// by tools/json_validate --golden.
-// v3: adds the optional top-level "batch" block (one batched multi-kernel
-// run: per-kernel rows + amortized-vs-summed transfer accounting) and the
-// "launches" member of each row's transfer object. Older fixtures stay
-// comparable: --golden prunes both additions.
-// v4: adds the optional "profile" block to variant and batch-kernel
-// objects (the obs/profile.h cycle-attribution report: per-layer bucket
-// split, memory cycles, per-depth divergence histogram, hot-node table)
-// and the gpu/<variant>/profile/* gauges. Emitted only when the run
-// carried a ProfileSink (--profile), so default reports are unchanged;
-// --golden prunes the additions.
-// v5: adds the optional top-level "serving" block (core/serving.h: an
-// open-loop ServingSession run -- arrival scenario, throughput,
-// p50/p95/p99 modelled latency and queue-delay percentiles, queue-depth
-// gauges, per-drain records, and the drain-cadence sweep) plus its
-// serving/* metrics registry. Emitted only by bench/serving; --golden
-// prunes it, so older fixtures stay comparable.
-// v6: adds the optional top-level "devices" block (core/device_group.h:
-// a multi-device sharded run -- per-kernel single-device-vs-makespan
-// comparison, per-device chunk/point/steal accounting and pipelined
-// copy/compute overlap attribution, plus the devices x chunk-size sweep)
-// with its sharding/* metrics registry; the serving block gains a
-// "devices" count and each drain record its dispatched "device". Emitted
-// only by bench/sharding (and multi-device serving runs); --golden prunes
-// the block, so older fixtures stay comparable.
-// v7: adds the stackless variant family (stackless_lockstep,
-// stackless_nolockstep, index_walk) to every row's "variants" object and
-// the shared-memory node-cache counters (smem_cache_hits,
-// smem_cache_misses) to each variant's stats block, with
-// gpu/<variant>/smem_cache_* gauges in the row registries. Validation is
-// version-aware: v6 fixtures stay fully validatable (stackless blocks are
-// only required from v7 on) and --golden prunes the new variants and
-// counters, so v1 goldens keep comparing.
-// v8: adds the optional top-level "fusion" block (core/kernel_compose.h:
-// fused traversal kernels measured against their sequential baselines --
-// per pair and per variant, the fused run's stats/time next to the
-// constituents' summed stats/time, the byte-identity verdict, and the
-// derived visit / mem_stall cycle savings) with its fusion/* metrics
-// registry, plus the "shared_loads_elided" counter in every stats block
-// (nonzero only for fused kernels, whose constituents hit the same node
-// records). tools/json_validate re-derives the fused-visits <= summed
-// constituent visits invariant; --golden prunes the block and the new
-// counter, so older fixtures keep comparing.
-// v9: adds the optional "memory" block to variant and batch-kernel objects
-// (the obs/profile.h write_memory_json export of simt/memory_attr.h): per
-// registered buffer, the launch's load groups, replayed loads,
-// issued-vs-ideal 128-byte segments (coalescing efficiency), L2-hit /
-// DRAM transaction and byte splits, smem node-cache hits/misses and the
-// derived mem-stall cycles -- with a nested per-field table where the
-// buffer registered field metadata. Emitted only under --profile
-// (set_include_memory), so default reports are unchanged;
-// tools/json_validate re-derives the row-sum == aggregate-KernelStats
-// invariants and --golden prunes the block.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v9";
+// The document, top to bottom:
+//   schema, generator, git_sha, seed, include_volatile, device -- what
+//     produced the run and the DeviceConfig the cost model charged.
+//   rows -- one object per BenchRow (table1 and the other grid binaries):
+//     the config; "variants", one object per kAllVariants entry with
+//     ok/error, time_ms, avg_nodes, stats and time, the auto_select
+//     launch decision as "selection", and under --profile the
+//     obs/profile.h cycle attribution ("profile") and the
+//     simt/memory_attr.h per-buffer traffic table ("memory"); the CPU
+//     scaling model; work_expansion; the transfer round trip with its
+//     launch count; and the row's metrics registry (metrics_for_row).
+//   serving -- bench/serving only: one open-loop ServingSession run
+//     (arrival scenario, latency and queue-delay percentiles, queue
+//     gauges, per-drain records with their schedule and amortized-vs-solo
+//     transfer, the drain-cadence sweep, metrics_for_serving).
+//   devices -- bench/sharding only: one multi-device sharded run
+//     (per-kernel single-device time vs makespan, per-device partition and
+//     copy/compute overlap, the devices x chunk-size sweep,
+//     metrics_for_sharding).
+//   fusion -- bench/fusion only: fused kernels against their sequential
+//     baselines per pair and variant (metrics_for_fusion).
+//   tables -- the human tables the binary printed; tables whose cells
+//     embed wall-clock values only under include_volatile.
+// tools/json_validate accepts only this tag, re-derives every block's
+// invariants, and with --golden compares two whole reports with only
+// git_sha normalized.
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v10";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents
@@ -124,17 +94,12 @@ struct FusionRunSummary {
 // "fusion/<pair>/<variant>/".
 MetricsRegistry metrics_for_fusion(const FusionRunSummary& fusion);
 
-// Build the per-row registry: all five variants' KernelStats and
+// Build the per-row registry: every variant's KernelStats and
 // TimeBreakdowns under "gpu/<variant>/", the CPU scaling model under
 // "cpu/" and the transfer model under "transfer/". Failed variants
 // contribute nothing but an error gauge is not needed -- the row JSON
 // carries the error string.
 MetricsRegistry metrics_for_row(const BenchRow& row);
-
-// Registry for the batch block: per-kernel stats/time under
-// "gpu/batch/<kernel>/", schedule accounting (residency, chunks, rounds,
-// switches) and the amortized/summed transfer split under "gpu/batch/".
-MetricsRegistry metrics_for_batch(const BatchResult& batch);
 
 // Registry for the serving block: query counters and queue-depth /
 // occupancy gauges under "serving/queue/" and "serving/", latency and
@@ -157,16 +122,12 @@ class RunReport {
   void set_device(const DeviceConfig& device) { device_ = device; }
   // Include measured wall-clock values (breaks byte-identity across runs).
   void set_include_volatile(bool v) { include_volatile_ = v; }
-  // Emit each variant's / batch kernel's "memory" attribution block
-  // (schema v9). Off by default: attribution is always collected, but the
-  // block is only exported for --profile runs, mirroring the v4 "profile"
-  // block's gating.
+  // Emit each variant's "memory" attribution block. Off by default:
+  // attribution is always collected, but the block is only exported for
+  // --profile runs, like the "profile" block.
   void set_include_memory(bool v) { include_memory_ = v; }
 
   void add_row(const BenchRow& row) { rows_.push_back(row); }
-  // Attach a batched multi-kernel run; at most one per report (a later
-  // call replaces the earlier block).
-  void set_batch(const BatchResult& batch) { batch_ = batch; }
   // Attach an open-loop serving run (core/serving.h); at most one per
   // report (a later call replaces the earlier block).
   void set_serving(const ServingRunSummary& serving) { serving_ = serving; }
@@ -201,7 +162,6 @@ class RunReport {
   bool include_volatile_ = false;
   bool include_memory_ = false;
   std::vector<BenchRow> rows_;
-  std::optional<BatchResult> batch_;
   std::optional<ServingRunSummary> serving_;
   std::optional<ShardingRunSummary> sharding_;
   std::optional<FusionRunSummary> fusion_;

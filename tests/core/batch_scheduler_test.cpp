@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_algos/harness.h"
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
 #include "core/batch_scheduler.h"
@@ -541,80 +540,6 @@ TEST(RunGpuBatch, ChunkTraceEventsCarryKernelId) {
   // One kChunk per logical warp, tagged with the launch's batch index.
   EXPECT_EQ(count_chunks(pc_trace, 0), run.launches[0].n_warps);
   EXPECT_EQ(count_chunks(nn_trace, 1), run.launches[1].n_warps);
-}
-
-// ---------------------------------------------------------------------
-// Harness-level batch: amortized vs summed transfer accounting.
-// ---------------------------------------------------------------------
-
-TEST(RunBatch, AmortizedTransferStrictlyBelowSummedSolo) {
-  BatchConfig bc = default_table1_batch();
-  for (BenchConfig& item : bc.items) {
-    item.n = 256;
-    item.profile_samples = 4;
-  }
-  BatchResult b = run_batch(bc);
-  ASSERT_EQ(b.kernels.size(), 5u);
-  for (const BatchKernelRow& k : b.kernels)
-    EXPECT_TRUE(k.result.ok()) << k.kernel_name << ": " << k.result.error;
-  EXPECT_GT(b.upload_bytes, 0u);
-  EXPECT_GT(b.download_bytes, 0u);
-  EXPECT_LT(b.amortized_transfer_ms(), b.summed_solo_transfer_ms());
-  // The saving is exactly the (N-1) launch overheads the batch skips.
-  EXPECT_NEAR(b.summed_solo_transfer_ms() - b.amortized_transfer_ms(),
-              static_cast<double>(b.kernels.size() - 1) *
-                  b.transfer.launch_overhead_ms,
-              1e-12);
-}
-
-TEST(RunBatch, EmptyBatchThrows) {
-  BatchConfig bc;
-  EXPECT_THROW(run_batch(bc), std::invalid_argument);
-}
-
-// A closed batch is one serving wave with replay off: the harness's
-// schedule accounting and modelled compute equal the drain record of a
-// session that admits the same launches at t=0 and drains them at once.
-TEST(RunBatch, MatchesOneServingWave) {
-  BatchConfig bc = default_table1_batch();
-  bc.items.resize(3);
-  for (BenchConfig& item : bc.items) {
-    item.n = 256;
-    item.profile_samples = 4;
-  }
-  bc.policy = BatchPolicy::kSequential;
-  const BatchResult b = run_batch(bc);
-
-  ServingConfig sc;
-  sc.device = bc.device;
-  sc.policy = bc.policy;
-  sc.drain.max_batch = bc.items.size();
-  sc.reuse_identical = false;
-  ServingSession session(sc);
-  std::vector<std::unique_ptr<PreparedKernel>> prepared;
-  for (const BenchConfig& item : bc.items) {
-    prepared.push_back(prepare_kernel(item));
-    QuerySet q;
-    q.spec.kernel = prepared.back()->handle;
-    q.spec.space = &prepared.back()->space;
-    q.spec.mode = GpuMode::from(bc.variant);
-    q.spec.mode.profile_samples = item.profile_samples;
-    q.spec.mode.profile_seed = item.profile_seed;
-    ASSERT_TRUE(session.submit(std::move(q), 0.0));
-  }
-  const ServingReport r = session.report();
-  ASSERT_EQ(r.drains.size(), 1u);
-  const DrainRecord& d = r.drains[0];
-  EXPECT_EQ(d.residency, b.residency);
-  EXPECT_EQ(d.total_chunks, b.total_chunks);
-  EXPECT_EQ(d.rounds, b.rounds);
-  EXPECT_EQ(d.switches, b.switches);
-  double compute = 0;
-  for (const BatchKernelRow& k : b.kernels) {
-    ASSERT_TRUE(k.result.ok()) << k.kernel_name << ": " << k.result.error;
-    compute += k.result.time_ms;
-  }
-  EXPECT_EQ(d.compute_ms, compute);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_algos/harness.h"
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
 #include "core/gpu_executors.h"
@@ -317,25 +318,69 @@ TEST(ServingSession, SameTraceSameReport) {
   }
 }
 
-// Mixed-kernel waves amortize transfer: one wave of two distinct kernels
-// pays one launch overhead instead of two.
+// Mixed-kernel waves amortize transfer: one wave of N distinct kernels
+// pays one launch overhead instead of N, so it saves exactly N-1 of them.
+// Two inputs: the fixture's PC+NN pair, and the five Table-1 kernels
+// (first input of each, sorted) built through the harness's
+// prepare_kernel under auto_select.
 TEST(ServingSession, WaveTransferAmortizesLaunchOverhead) {
-  ServingFixtures f;
-  ServingConfig cfg;
-  cfg.drain.max_batch = 2;
-  cfg.drain.max_delay_ms = 10.0;
-  ServingSession session(cfg);
-  ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-  ASSERT_TRUE(session.submit(f.nn_query(), 0.0));
-  session.flush();
-  const ServingReport r = session.report();
-  ASSERT_EQ(r.drains.size(), 1u);
-  const DrainRecord& d = r.drains[0];
-  EXPECT_EQ(d.n_queries, 2u);
-  EXPECT_NEAR(d.solo_transfer_ms - d.transfer_ms,
-              cfg.transfer.launch_overhead_ms, 1e-12);
-  EXPECT_EQ(r.amortized_transfer_ms(), d.transfer_ms);
-  EXPECT_EQ(r.summed_solo_transfer_ms(), d.solo_transfer_ms);
+  auto check_one_wave = [](std::vector<QuerySet> queries) {
+    const std::size_t n = queries.size();
+    ServingConfig cfg;
+    cfg.drain.max_batch = n;
+    cfg.drain.max_delay_ms = 10.0;
+    ServingSession session(cfg);
+    for (QuerySet& q : queries)
+      ASSERT_TRUE(session.submit(std::move(q), 0.0));
+    session.flush();
+    const ServingReport r = session.report();
+    ASSERT_EQ(r.drains.size(), 1u);
+    EXPECT_EQ(r.completed, n);
+    EXPECT_EQ(r.failed, 0u);
+    const DrainRecord& d = r.drains[0];
+    EXPECT_EQ(d.n_queries, n);
+    EXPECT_NEAR(d.solo_transfer_ms - d.transfer_ms,
+                static_cast<double>(n - 1) * cfg.transfer.launch_overhead_ms,
+                1e-12);
+    EXPECT_EQ(r.amortized_transfer_ms(), d.transfer_ms);
+    EXPECT_EQ(r.summed_solo_transfer_ms(), d.solo_transfer_ms);
+  };
+
+  {
+    SCOPED_TRACE("pc + nn");
+    ServingFixtures f;
+    std::vector<QuerySet> queries;
+    queries.push_back(f.pc_query());
+    queries.push_back(f.nn_query());
+    check_one_wave(std::move(queries));
+  }
+  {
+    SCOPED_TRACE("five Table-1 kernels");
+    std::vector<std::unique_ptr<PreparedKernel>> prepared;
+    std::vector<QuerySet> queries;
+    for (Algo a : {Algo::kBH, Algo::kPC, Algo::kKNN, Algo::kNN, Algo::kVP}) {
+      BenchConfig c;
+      c.algo = a;
+      c.input = inputs_for(a).front();
+      c.sorted = true;
+      c.n = 256;
+      c.profile_samples = 4;
+      prepared.push_back(prepare_kernel(c));
+      PreparedKernel& pk = *prepared.back();
+      EXPECT_GT(pk.upload_bytes, 0u) << algo_name(a);
+      EXPECT_GT(pk.download_bytes, 0u) << algo_name(a);
+      QuerySet q;
+      q.spec.kernel = pk.handle;
+      q.spec.space = &pk.space;
+      q.spec.mode = GpuMode::from(Variant::kAutoSelect);
+      q.spec.mode.profile_samples = c.profile_samples;
+      q.spec.mode.profile_seed = c.profile_seed;
+      q.upload_bytes = pk.upload_bytes;
+      q.download_bytes = pk.download_bytes;
+      queries.push_back(std::move(q));
+    }
+    check_one_wave(std::move(queries));
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -87,12 +87,19 @@ LinearTree random_binary_tree(std::size_t n_nodes, std::uint64_t seed) {
 ir::World make_world(const LinearTree& tree) {
   ir::World w;
   w.tree = &tree;
+  // The point state is mixed in std::uint64_t: it outgrows std::int64_t
+  // after about a dozen updates, and unsigned arithmetic wraps by
+  // definition where signed overflow is undefined behaviour.
   w.cond = [](int id, NodeId n, std::int64_t& ps, std::int64_t arg) {
-    return ((id * 7 + n * 13 + ps * 31 + arg) & 7) < 3;
+    const std::uint64_t mix = static_cast<std::uint64_t>(ps) * 31 +
+                              static_cast<std::uint64_t>(id * 7 + n * 13 + arg);
+    return (mix & 7) < 3;
   };
   w.update = [](int id, NodeId n, std::int64_t& ps, std::int64_t arg) {
     // Non-commutative so ordering mistakes are caught.
-    ps = ps * 37 + id * 11 + n * 5 + arg * 3 + 1;
+    ps = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(ps) * 37 +
+        static_cast<std::uint64_t>(id * 11 + n * 5 + arg * 3 + 1));
   };
   w.child = [&tree](int slot, NodeId n, const std::int64_t&) {
     return tree.child(n, slot);

@@ -1,48 +1,35 @@
-// Validates a treetrav.run_report JSON file: parses it, checks the schema
-// tag and the presence/shape of the sections every report must carry
-// (including the auto_select "selection" block introduced by schema v2,
-// the optional cycle-attribution "profile" block introduced by v4 --
-// whose attribution invariant, bucket sum == instr_cycles, is re-checked
-// here with exact equality against the report's own stats -- and the
-// optional "serving" block introduced by v5, whose latency percentiles
-// must be monotone, queue gauges non-negative, and per-drain query counts
-// must sum to the completed total, and the optional "devices" block
-// introduced by v6, whose per-device chunk/point counts must sum to each
-// kernel's totals, whose overlap can never exceed the copy-in it hides,
-// and whose makespan must be the slowest device's busy time, bounded by
-// the summed per-device time).
-// Validation is version-aware: the current schema (v9) and the two
-// previous ones (v8, v7) are accepted in full validation -- plus v6,
-// which the committed sharding fixture pins and must keep validating
-// bit-for-bit -- with the v7-only stackless variant blocks required only
-// from v7 on, the v8 "fusion" block (bench/fusion: fused traversal
-// kernels vs their sequential baselines) checked for shape plus its
-// defining invariants (every ok row must be byte_identical, the fused
-// walk's visit count can never exceed the constituents' sum, re-derived
-// here from the two stats blocks, and the reported visit cycle savings
-// must be non-negative), and the v9 per-buffer "memory" attribution block
-// re-derived against the holder's own stats: across rows, the L2-hit /
-// DRAM / smem-cache / load-group sums must reconstruct the aggregate
-// KernelStats counters with EXACT equality (every accumulated value is a
-// multiple of 2^-7, see simt/memory_attr.h), each row's issued segments
-// must split exactly into its smem-hit/L2/DRAM outcomes with coalescing
-// efficiency in (0, 1], per-field rows must sum to their buffer's row,
-// and (when profiled) the summed mem-stall cycles must equal the
-// mem_stall cycle bucket.
-// For v7 reports, an ok stackless variant must show zero stack footprint
-// (peak_stack_entries == 0 and, when profiled, an empty stack bucket).
+// Validates a treetrav.run_report JSON file (obs/run_report.h) and
+// re-derives the invariants each block must satisfy. Only the current
+// schema tag is accepted. Every report carries the provenance members and
+// the "rows" and "tables" arrays; the optional blocks are checked when
+// present:
+//   rows[].variants -- written by table1 and every grid binary: one object
+//     per variant with ok, stats and time. An ok auto_select carries its
+//     "selection" block and names an autoropes composition; an ok
+//     stackless variant shows zero stack footprint.
+//   profile (--profile, on a variant) -- the cycle buckets sum to
+//     instr_cycles exactly and the depth histogram accounts for every warp
+//     step and active lane.
+//   memory (--profile, on a variant) -- per-buffer rows and their
+//     per-field rows sum exactly to the variant's KernelStats counters and
+//     to the profile's mem_stall bucket (every value is a multiple of
+//     2^-7, see simt/memory_attr.h).
+//   serving (bench/serving) -- completed + dropped == submitted, per-drain
+//     query counts sum to completed, percentiles are monotone, queue
+//     gauges are non-negative and no drain pays more than its solo
+//     transfer.
+//   devices (bench/sharding) -- per-device chunks and points sum to each
+//     kernel's totals, overlap never exceeds copy-in, and the makespan is
+//     the slowest device's busy time, bounded by the summed busy time.
+//   fusion (bench/fusion) -- every ok row is byte_identical and the fused
+//     walk's visits never exceed the constituents' sum.
 // Exit 0 on success; nonzero with a diagnostic on stderr otherwise. Used
-// by the table1_json_validate ctest and scripts/check.sh.
+// by the *_json_validate ctests and scripts/check.sh.
 //
-// --golden <golden.json> <report.json> compares the two files on the four
-// *legacy* variants only: both sides are parsed, auto_select variant
-// blocks and gpu/auto_select/* metric entries are pruned, the schema tag
-// and git_sha are normalized, and the trees are re-serialized through the
-// canonical JsonWriter before byte comparison. That lets a golden fixture
-// captured before auto_select existed (schema v1) keep pinning the legacy
-// variants' behavior while reports grow new sections (the v7 smem_cache_*
-// and v8 shared_loads_elided stats members and the v9 per-variant
-// "memory" blocks are likewise pruned).
+// --golden <golden.json> <report.json> parses both files, gives the report
+// the golden's git_sha, re-serializes it through the canonical JsonWriter
+// and compares the result with the golden file byte for byte, printing
+// the first differing line on a mismatch.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -76,21 +63,13 @@ bool slurp(const char* path, std::string* out) {
   return true;
 }
 
-bool is_legacy_variant_name(const std::string& name) {
-  for (tt::Variant v : tt::kLegacyVariants)
-    if (name == tt::variant_name(v)) return true;
-  return false;
-}
-
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 // ---------------------------------------------------------------------
 // Canonical re-serialization of a parsed tree (insertion order preserved,
-// numbers through json_number's shortest round-trip form) -- both sides
-// of the golden comparison pass through this, so formatting differences
-// between writer generations cannot produce false mismatches.
+// numbers through json_number's shortest round-trip form) -- the form the
+// JsonWriter gives every report and fixture, so a re-serialized report
+// reproduces a fixture byte for byte exactly when every member and every
+// digit agrees. Comparing parsed values instead would miss a fixture digit
+// edited below double precision.
 // ---------------------------------------------------------------------
 void write_value(JsonWriter& w, const JsonValue& v);
 
@@ -132,95 +111,28 @@ void write_value(JsonWriter& w, const JsonValue& v) {
   }
 }
 
-JsonValue* find_mut(JsonValue& obj, const std::string& k) {
-  if (!obj.is_object()) return nullptr;
-  for (auto& [mk, mv] : obj.obj_v)
-    if (mk == k) return mv.get();
-  return nullptr;
-}
-
-void set_string(JsonValue& root, const std::string& k, const char* value) {
-  if (JsonValue* v = find_mut(root, k)) {
-    v->type = JsonValue::Type::kString;
-    v->str_v = value;
-  }
-}
-
-// True for metric keys the v4 profiler added: gpu/<variant>/profile/* and
-// gpu/batch/<kernel>/profile/*.
-bool is_profile_metric(const std::string& key) {
-  return starts_with(key, "gpu/") &&
-         key.find("/profile/") != std::string::npos;
-}
-
-// Reduce a parsed report to the legacy-variant view the golden fixture
-// captures: drop non-legacy variant blocks, gpu/<non-legacy>/* metric
-// entries, environment-dependent cpu keys, and normalize schema + git_sha.
-void prune_to_legacy(JsonValue& root) {
-  set_string(root, "schema", "<schema>");
-  set_string(root, "git_sha", "<sha>");
-  // Top-level blocks the fixture predates: batch (v3), serving (v5),
-  // devices (v6), fusion (v8).
-  std::erase_if(root.obj_v, [](const auto& member) {
-    return member.first == "batch" || member.first == "serving" ||
-           member.first == "devices" || member.first == "fusion";
-  });
-  JsonValue* rows = find_mut(root, "rows");
-  if (!rows || !rows->is_array()) return;
-  for (const JsonValuePtr& rowp : rows->arr_v) {
-    JsonValue& row = *rowp;
-    if (JsonValue* cpu = find_mut(row, "cpu")) {
-      // Older fixtures emitted the host thread count unconditionally;
-      // current reports gate it behind --json-volatile.
-      std::erase_if(cpu->obj_v, [](const auto& member) {
-        return member.first == "threads_measured";
-      });
-    }
-    if (JsonValue* variants = find_mut(row, "variants")) {
-      std::erase_if(variants->obj_v, [](const auto& member) {
-        return !is_legacy_variant_name(member.first);
-      });
-      // v4 added the optional per-variant "profile" block (--profile), v9
-      // the optional "memory" attribution block; v7 added the smem_cache_*
-      // counters and v8 shared_loads_elided to every stats block.
-      for (auto& [name, vr] : variants->obj_v) {
-        if (!vr->is_object()) continue;
-        std::erase_if(vr->obj_v, [](const auto& member) {
-          return member.first == "profile" || member.first == "memory";
-        });
-        if (JsonValue* stats = find_mut(*vr, "stats"))
-          std::erase_if(stats->obj_v, [](const auto& member) {
-            return member.first == "smem_cache_hits" ||
-                   member.first == "smem_cache_misses" ||
-                   member.first == "shared_loads_elided";
-          });
+// `text` re-serialized canonically with its git_sha -- the only member
+// two builds of the same code at different commits differ in -- set to
+// `sha`.
+std::string canonical_report(const std::string& text, const std::string& sha) {
+  auto root = tt::obs::json_parse(text);
+  if (root->is_object())
+    for (auto& [k, v] : root->obj_v)
+      if (k == "git_sha") {
+        v->type = JsonValue::Type::kString;
+        v->str_v = sha;
       }
-    }
-    if (JsonValue* transfer = find_mut(row, "transfer")) {
-      // v3 added the per-row launch count.
-      std::erase_if(transfer->obj_v, [](const auto& member) {
-        return member.first == "launches";
-      });
-    }
-    if (JsonValue* metrics = find_mut(row, "metrics")) {
-      for (const char* section : {"counters", "gauges", "histograms"}) {
-        JsonValue* sec = find_mut(*metrics, section);
-        if (!sec) continue;
-        std::erase_if(sec->obj_v, [](const auto& member) {
-          if (member.first == "transfer/launches") return true;  // v3
-          if (is_profile_metric(member.first)) return true;      // v4
-          if (!starts_with(member.first, "gpu/")) return false;
-          const std::string variant =
-              member.first.substr(4, member.first.find('/', 4) - 4);
-          return !is_legacy_variant_name(variant);
-        });
-      }
-    }
+  std::ostringstream os;
+  {
+    JsonWriter w(os);
+    write_value(w, *root);
   }
+  return os.str();
 }
 
-// Compare golden vs report on the legacy-variant view; on mismatch print
-// the first differing canonical line of each side for a usable diagnostic.
+// Compare the golden file byte for byte with the report re-serialized under
+// the golden's git_sha; on mismatch print the first differing line of each
+// side for a usable diagnostic.
 int compare_golden(const char* golden_path, const char* report_path) {
   std::string golden_text, report_text;
   if (!slurp(golden_path, &golden_text))
@@ -228,34 +140,22 @@ int compare_golden(const char* golden_path, const char* report_path) {
   if (!slurp(report_path, &report_text))
     return fail(std::string("cannot open ") + report_path);
 
-  std::string golden, report;
+  std::string report;
   try {
-    auto gp = tt::obs::json_parse(golden_text);
-    prune_to_legacy(*gp);
-    std::ostringstream gs;
-    {
-      JsonWriter w(gs);
-      write_value(w, *gp);
-    }
-    golden = gs.str();
-    auto rp = tt::obs::json_parse(report_text);
-    prune_to_legacy(*rp);
-    std::ostringstream rs;
-    {
-      JsonWriter w(rs);
-      write_value(w, *rp);
-    }
-    report = rs.str();
+    const JsonValuePtr golden = tt::obs::json_parse(golden_text);
+    const JsonValue* sha = golden->find("git_sha");
+    if (!sha) return fail(std::string(golden_path) + ": missing \"git_sha\"");
+    report = canonical_report(report_text, sha->as_string());
   } catch (const std::exception& e) {
     return fail(std::string("golden compare parse error: ") + e.what());
   }
 
-  if (golden == report) {
-    std::cout << "json_validate: " << report_path
-              << " matches golden (legacy variants) " << golden_path << "\n";
+  if (golden_text == report) {
+    std::cout << "json_validate: " << report_path << " matches golden "
+              << golden_path << "\n";
     return 0;
   }
-  std::istringstream ga(golden), rb(report);
+  std::istringstream ga(golden_text), rb(report);
   std::string gl, rl;
   std::size_t line = 0;
   for (;;) {
@@ -266,7 +166,7 @@ int compare_golden(const char* golden_path, const char* report_path) {
     if (!have_g) gl = "<end of file>";
     if (!have_r) rl = "<end of file>";
     if (gl != rl) {
-      std::cerr << "json_validate: golden mismatch at canonical line " << line
+      std::cerr << "json_validate: golden mismatch at line " << line
                 << "\n"
                 << "  golden: " << gl << "\n"
                 << "  report: " << rl << "\n";
@@ -276,7 +176,7 @@ int compare_golden(const char* golden_path, const char* report_path) {
   return fail("golden mismatch (content differs)");
 }
 
-// The auto_select variant of an ok row must carry the full v2 selection
+// The auto_select variant of an ok row must carry the full selection
 // block, and the chosen composition must be one it can dispatch to.
 int check_selection(const std::string& at, const JsonValue& vr) {
   const JsonValue* sel = vr.find("selection");
@@ -295,8 +195,7 @@ int check_selection(const std::string& at, const JsonValue& vr) {
   return 0;
 }
 
-// The optional v4 "profile" block of a variant (or batch-kernel) object
-// `holder`: shape plus the attribution invariant, checked with EXACT
+// The optional "profile" block of a variant object `holder`: shape plus the attribution invariant, checked with EXACT
 // equality -- every cycle charge is an integer-valued double, so the
 // bucket split must reconstruct instr_cycles with ==, and the divergence
 // histogram must account for every warp step and active lane. When the
@@ -394,8 +293,7 @@ int check_profile(const std::string& at, const JsonValue& holder) {
   return 0;
 }
 
-// The optional v9 "memory" block of a variant (or batch-kernel) object
-// `holder`: per-buffer traffic attribution, re-derived with EXACT
+// The optional "memory" block of a variant object `holder`: per-buffer traffic attribution, re-derived with EXACT
 // equality -- the transaction size is a power of two, so every per-field
 // share is a dyadic rational and the sums cannot drift (the same
 // discipline as the cycle buckets). Checks, per row: the issued segments
@@ -530,49 +428,6 @@ int check_memory(const std::string& at, const JsonValue& holder) {
   return 0;
 }
 
-// The optional v3 batch block: schedule accounting, per-kernel rows and
-// the amortized-vs-summed transfer split must all be present and shaped
-// right when the block exists at all.
-int check_batch(const JsonValue& batch) {
-  if (!batch.is_object()) return fail("\"batch\" is not an object");
-  for (const char* field : {"variant", "policy", "residency", "total_chunks",
-                            "rounds", "switches"})
-    if (!batch.find(field))
-      return fail(std::string("batch: missing \"") + field + "\"");
-  const JsonValue* kernels = batch.find("kernels");
-  if (!kernels || !kernels->is_array())
-    return fail("batch: missing \"kernels\" array");
-  for (std::size_t i = 0; i < kernels->arr_v.size(); ++i) {
-    const JsonValue& k = *kernels->arr_v[i];
-    const std::string at = "batch.kernels[" + std::to_string(i) + "]";
-    for (const char* field :
-         {"kernel", "config", "ok", "time_ms", "avg_nodes", "stats", "time",
-          "upload_bytes", "download_bytes", "solo_transfer_ms"})
-      if (!k.find(field))
-        return fail(at + ": missing \"" + field + "\"");
-    if (!k.find("ok")->as_bool() && !k.find("error"))
-      return fail(at + ": failed kernel without \"error\"");
-    if (int rc = check_profile(at, k); rc != 0) return rc;
-    if (int rc = check_memory(at, k); rc != 0) return rc;
-  }
-  const JsonValue* transfer = batch.find("transfer");
-  if (!transfer || !transfer->is_object())
-    return fail("batch: missing \"transfer\" object");
-  for (const char* field : {"upload_bytes", "download_bytes", "pcie_gbps",
-                            "launch_overhead_ms", "amortized_ms",
-                            "summed_solo_ms"})
-    if (!transfer->find(field))
-      return fail(std::string("batch.transfer: missing \"") + field + "\"");
-  if (kernels->arr_v.size() >= 2 &&
-      !(transfer->find("amortized_ms")->num_v <
-        transfer->find("summed_solo_ms")->num_v))
-    return fail("batch.transfer: amortized_ms is not strictly below "
-                "summed_solo_ms (the batch saved nothing)");
-  if (!batch.find("metrics"))
-    return fail("batch: missing \"metrics\" object");
-  return 0;
-}
-
 // A percentile summary (latency_ms / queue_delay_ms): all fields present,
 // non-negative, and monotone p50 <= p95 <= p99 <= max.
 int check_latency_summary(const std::string& at, const JsonValue& s) {
@@ -592,7 +447,7 @@ int check_latency_summary(const std::string& at, const JsonValue& s) {
   return 0;
 }
 
-// The optional v5 serving block: admission accounting must balance
+// The optional serving block: admission accounting must balance
 // (completed + dropped == submitted, per-drain query counts sum to
 // completed), both percentile summaries must be monotone, and every queue
 // gauge must be non-negative.
@@ -692,7 +547,7 @@ int check_serving(const JsonValue& serving) {
   return 0;
 }
 
-// The optional v6 devices block: per-device work must sum to each
+// The optional devices block: per-device work must sum to each
 // kernel's totals, pipelined overlap can only hide copy-in time, every
 // device's busy time must decompose into exposed transfer + compute, and
 // the makespan must be exactly the slowest device's clock -- never more
@@ -800,7 +655,7 @@ int check_devices(const JsonValue& devices) {
   return 0;
 }
 
-// The optional v8 fusion block: per pair x variant, an ok row must be
+// The optional fusion block: per pair x variant, an ok row must be
 // byte_identical to its sequential baseline, the fused walk's visit count
 // is re-derived to be bounded by the constituents' sum (the union can
 // never exceed it), and the reported visit / mem_stall savings must be
@@ -843,6 +698,10 @@ int check_fusion(const JsonValue& fusion) {
       const JsonValue* ss = r.find("sequential_stats");
       if (!fs->is_object() || !ss->is_object())
         return fail(vat + ": stats blocks are not objects");
+      if (!fs->find("lane_visits"))
+        return fail(vat + ".fused_stats: missing \"lane_visits\"");
+      if (!ss->find("lane_visits"))
+        return fail(vat + ".sequential_stats: missing \"lane_visits\"");
       const std::uint64_t fused_visits = fs->find("lane_visits")->as_uint();
       const std::uint64_t seq_visits = ss->find("lane_visits")->as_uint();
       if (fused_visits > seq_visits)
@@ -884,19 +743,9 @@ int main(int argc, char** argv) {
     if (!root->is_object()) return fail("root is not an object");
     const JsonValue* schema = root->find("schema");
     if (!schema) return fail("missing \"schema\"");
-    // v8 (pre-memory) and v7 (pre-fusion) reports stay fully validatable,
-    // as does v6 (pre-stackless): the committed sharding fixture is a v6
-    // one and must keep passing.
-    constexpr const char* kV8Schema = "treetrav.run_report/v8";
-    constexpr const char* kV7Schema = "treetrav.run_report/v7";
-    constexpr const char* kV6Schema = "treetrav.run_report/v6";
-    const bool is_v7_plus = schema->as_string() == tt::obs::kRunReportSchema ||
-                            schema->as_string() == kV8Schema ||
-                            schema->as_string() == kV7Schema;
-    if (!is_v7_plus && schema->as_string() != kV6Schema)
+    if (schema->as_string() != tt::obs::kRunReportSchema)
       return fail("schema is \"" + schema->as_string() + "\", expected \"" +
-                  tt::obs::kRunReportSchema + "\" (or \"" + kV8Schema +
-                  "\" / \"" + kV7Schema + "\" / \"" + kV6Schema + "\")");
+                  tt::obs::kRunReportSchema + "\"");
     if (!root->find("generator")) return fail("missing \"generator\"");
     if (!root->find("git_sha")) return fail("missing \"git_sha\"");
     const JsonValue* rows = root->find("rows");
@@ -913,22 +762,18 @@ int main(int argc, char** argv) {
       if (!variants || !variants->is_object())
         return fail(at + ": missing \"variants\" object");
       for (tt::Variant v : tt::kAllVariants) {
-        // The stackless family only exists from v7 on.
-        if (!is_v7_plus && tt::variant_is_stackless(v)) continue;
         const JsonValue* vr = variants->find(tt::variant_name(v));
         if (!vr) return fail(at + ": missing variant " + tt::variant_name(v));
-        if (!vr->find("stats"))
-          return fail(at + "." + tt::variant_name(v) + ": missing \"stats\"");
-        if (!vr->find("time"))
-          return fail(at + "." + tt::variant_name(v) + ": missing \"time\"");
-        if (v == tt::Variant::kAutoSelect && vr->find("ok")->as_bool()) {
-          int rc = check_selection(at + "." + tt::variant_name(v), *vr);
-          if (rc != 0) return rc;
-        }
+        const std::string vat = at + "." + tt::variant_name(v);
+        for (const char* field : {"ok", "stats", "time"})
+          if (!vr->find(field))
+            return fail(vat + ": missing \"" + field + "\"");
+        const bool ok = vr->find("ok")->as_bool();
+        if (v == tt::Variant::kAutoSelect && ok)
+          if (int rc = check_selection(vat, *vr); rc != 0) return rc;
         // A variant with no stack state can have no stack footprint: zero
         // peak depth and (when profiled) an empty stack bucket.
-        if (tt::variant_is_stackless(v) && vr->find("ok")->as_bool()) {
-          const std::string vat = at + "." + tt::variant_name(v);
+        if (tt::variant_is_stackless(v) && ok) {
           const JsonValue* stats = vr->find("stats");
           if (const JsonValue* peak = stats->find("peak_stack_entries"))
             if (peak->as_uint() != 0)
@@ -945,22 +790,14 @@ int main(int argc, char** argv) {
                                 std::to_string(sb->as_number()) +
                                 " cycles to the stack bucket");
         }
-        if (int rc = check_profile(at + "." + tt::variant_name(v), *vr);
-            rc != 0)
-          return rc;
-        if (int rc = check_memory(at + "." + tt::variant_name(v), *vr);
-            rc != 0)
-          return rc;
+        if (int rc = check_profile(vat, *vr); rc != 0) return rc;
+        if (int rc = check_memory(vat, *vr); rc != 0) return rc;
       }
       const JsonValue* metrics = row.find("metrics");
       if (!metrics || !metrics->is_object())
         return fail(at + ": missing \"metrics\" object");
       if (!metrics->find("counters"))
         return fail(at + ".metrics: missing \"counters\"");
-    }
-    if (const JsonValue* batch = root->find("batch")) {
-      int rc = check_batch(*batch);
-      if (rc != 0) return rc;
     }
     if (const JsonValue* serving = root->find("serving")) {
       int rc = check_serving(*serving);
