@@ -114,12 +114,27 @@ inline void add_common_flags(Cli& cli) {
                "(breaks byte-identical output across runs)");
 }
 
-// RunReport pre-wired from the common flags: seed, volatile toggle and the
-// device model every harness runs with (BenchConfig's default DeviceConfig).
+// --profile-samples, checked: the auto_select sampler needs at least one
+// traversal pair to decide a dispatch.
+inline std::size_t profile_samples(const Cli& cli) {
+  const long long samples = cli.get_int("profile-samples");
+  if (samples <= 0)
+    throw std::invalid_argument(
+        "--profile-samples must be >= 1: the auto_select sampler needs at "
+        "least one traversal pair to decide a dispatch");
+  return static_cast<std::size_t>(samples);
+}
+
+// RunReport pre-wired from the common flags: seed, the auto_select sampler
+// knobs, volatile toggle and the device model every harness runs with
+// (BenchConfig's default DeviceConfig).
 inline obs::RunReport make_report(const Cli& cli,
                                   const std::string& generator) {
   obs::RunReport report(generator);
   report.set_seed(static_cast<std::uint64_t>(cli.get_int("seed")));
+  report.set_profile_sampler(
+      profile_samples(cli),
+      static_cast<std::uint64_t>(cli.get_int("profile-seed")));
   report.set_include_volatile(cli.get_flag("json-volatile"));
   // --profile also unlocks the per-buffer "memory" attribution
   // blocks (attribution is always collected; export is opt-in).
@@ -192,12 +207,7 @@ inline BenchConfig config_from(const Cli& cli, Algo a, InputKind in,
   c.bh_theta = static_cast<float>(cli.get_double("theta"));
   c.bh_timesteps = static_cast<int>(cli.get_int("bh-steps"));
   c.verify = cli.get_flag("verify");
-  const long long samples = cli.get_int("profile-samples");
-  if (samples <= 0)
-    throw std::invalid_argument(
-        "--profile-samples must be >= 1: the auto_select sampler needs at "
-        "least one traversal pair to decide a dispatch");
-  c.profile_samples = static_cast<std::size_t>(samples);
+  c.profile_samples = profile_samples(cli);
   c.profile_seed = static_cast<std::uint64_t>(cli.get_int("profile-seed"));
   c.variants = parse_variant_filter(cli.get_string("variant"));
   c.profile = cli.get_flag("profile");
@@ -213,15 +223,17 @@ inline void emit(const Table& table, bool csv) {
 }
 
 // Shared main() scaffold: parse the flags (returning 0 when --help printed
-// usage), run `body`, and report any exception as "<name>: <what>" with
-// exit code 1. One copy of the parse + try/catch every experiment binary
-// used to hand-roll; unknown flags self-diagnose through Cli's
-// list-the-valid-flags error.
+// usage), reject a bad --profile-samples before any work (make_report
+// records it even in binaries that never sample), run `body`, and report
+// any exception as "<name>: <what>" with exit code 1. One copy of the
+// parse + try/catch every experiment binary used to hand-roll; unknown
+// flags self-diagnose through Cli's list-the-valid-flags error.
 template <class Body>
 int run_main(Cli& cli, int argc, const char* const* argv,
              const std::string& name, Body&& body) {
   try {
     if (!cli.parse(argc, argv)) return 0;
+    (void)profile_samples(cli);
     return body();
   } catch (const std::exception& e) {
     std::cerr << name << ": " << e.what() << "\n";

@@ -50,17 +50,6 @@ struct Cell {
 PointOrder kOrders[] = {PointOrder::kMorton, PointOrder::kTree,
                         PointOrder::kShuffled};
 
-const char* factory_name(Algo a) {
-  switch (a) {
-    case Algo::kBH: return "bh";
-    case Algo::kPC: return "pc";
-    case Algo::kKNN: return "knn";
-    case Algo::kNN: return "nn";
-    case Algo::kVP: return "vp";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,7 +93,7 @@ int main(int argc, char** argv) {
 
         GpuAddressSpace space;
         auto handle =
-            KernelFactory::instance().make(factory_name(a), req, space);
+            KernelFactory::instance().make(kernel_name(a), req, space);
         const DeviceConfig dev;
         // Both autoropes compositions as one batch (isolated per-launch
         // measurements; byte-identical to solo runs by construction).
@@ -119,7 +108,7 @@ int main(int argc, char** argv) {
         for (std::size_t si = 0; si < sample_counts.size(); ++si) {
           ProfileReport p = handle->profile(sample_counts[si], profile_seed);
           Cell c;
-          c.name = std::string(factory_name(a)) + "/" + input + "/" +
+          c.name = std::string(kernel_name(a)) + "/" + input + "/" +
                    point_order_name(order);
           c.mean_similarity = p.mean_similarity;
           c.baseline_similarity = p.baseline_similarity;
@@ -130,7 +119,7 @@ int main(int argc, char** argv) {
                                         : nolock.stats.instr_cycles;
           by_samples[si].push_back(c);
         }
-        std::cerr << "# profiled " << factory_name(a) << "/"
+        std::cerr << "# profiled " << kernel_name(a) << "/"
                   << point_order_name(order) << "\n";
       }
     }

@@ -9,7 +9,7 @@
 //
 // Also demonstrates the observability layer: --trace runs the smallest
 // radius with a TraceSink attached and prints the first warp's event
-// stream plus a metrics-registry digest.
+// stream plus a digest of its KernelStats counters.
 #include <cstdio>
 
 #include "bench_algos/pc/point_correlation.h"
@@ -17,7 +17,6 @@
 #include "core/gpu_executors.h"
 #include "data/generators.h"
 #include "data/sorting.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spatial/kdtree.h"
 #include "util/cli.h"
@@ -28,8 +27,8 @@ int main(int argc, char** argv) {
   Cli cli("range_profile: correlation-radius sweep over clustered 2-d data");
   cli.add_int("points", 8192, "dataset size");
   cli.add_flag("trace", false,
-               "print warp 0's trace events and a metrics digest for the "
-               "smallest radius");
+               "print warp 0's trace events and a KernelStats digest for "
+               "the smallest radius");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto n = static_cast<std::size_t>(cli.get_int("points"));
@@ -68,14 +67,10 @@ int main(int argc, char** argv) {
         std::printf("  seq=%-5u %-8s node=%-6u mask=%08x depth=%u\n", e.seq,
                     obs::trace_event_name(e.kind), e.node, e.mask, e.depth);
       }
-      obs::MetricsRegistry reg;
-      obs::register_kernel_stats(reg, gpu.stats, "gpu/auto_lockstep/");
-      std::printf("metrics: %zu entries, lane_visits=%llu warp_pops=%llu\n\n",
-                  reg.size(),
-                  static_cast<unsigned long long>(
-                      reg.counter("gpu/auto_lockstep/lane_visits")),
-                  static_cast<unsigned long long>(
-                      reg.counter("gpu/auto_lockstep/warp_pops")));
+      std::printf("stats: lane_visits=%llu warp_pops=%llu votes=%llu\n\n",
+                  static_cast<unsigned long long>(gpu.stats.lane_visits),
+                  static_cast<unsigned long long>(gpu.stats.warp_pops),
+                  static_cast<unsigned long long>(gpu.stats.votes));
     }
     first = false;
   }

@@ -8,6 +8,7 @@
 #include "bench_algos/knn/knn.h"
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
+#include "bench_algos/register_kernels.h"
 #include "bench_algos/vp/vantage_point.h"
 #include "core/cpu_executors.h"
 #include "core/gpu_executors.h"
@@ -15,8 +16,6 @@
 #include "cpu/parallel.h"
 #include "obs/chrome_trace.h"
 #include "obs/profile.h"
-#include "data/generators.h"
-#include "data/sorting.h"
 #include "spatial/kdtree.h"
 #include "spatial/octree.h"
 #include "spatial/vptree.h"
@@ -62,6 +61,43 @@ ir::AnalysisReport analysis_for(Algo a) {
     case Algo::kVP: return ir::analyze(vp_ir());
   }
   throw std::logic_error("analysis_for: bad algo");
+}
+
+const char* kernel_name(Algo a) {
+  switch (a) {
+    case Algo::kBH: return "bh";
+    case Algo::kPC: return "pc";
+    case Algo::kKNN: return "knn";
+    case Algo::kNN: return "nn";
+    case Algo::kVP: return "vp";
+  }
+  return "?";
+}
+
+KernelRequest kernel_request(const BenchConfig& cfg) {
+  KernelRequest r;
+  r.n = cfg.n;
+  r.seed = cfg.seed;
+  r.dim = cfg.dim;
+  r.k = cfg.k;
+  r.pc_target_neighbors = cfg.pc_target_neighbors;
+  r.bh_theta = cfg.bh_theta;
+  r.bh_eps2 = cfg.bh_eps2;
+  r.bh_dt = cfg.bh_dt;
+  r.leaf_size = cfg.leaf_size;
+  int dim = cfg.dim;  // of the generated points: picks the sorted order
+  switch (cfg.input) {
+    case InputKind::kPlummer: r.input = "plummer"; dim = 3; break;
+    case InputKind::kRandomBodies: r.input = "random_bodies"; dim = 3; break;
+    case InputKind::kCovtype: r.input = "covtype"; break;
+    case InputKind::kMnist: r.input = "mnist"; break;
+    case InputKind::kUniform: r.input = "uniform"; break;
+    case InputKind::kGeocity: r.input = "geocity"; dim = 2; break;
+  }
+  r.order = !cfg.sorted  ? PointOrder::kShuffled
+            : dim <= 3   ? PointOrder::kMorton
+                         : PointOrder::kTree;
+  return r;
 }
 
 namespace {
@@ -250,59 +286,6 @@ void accumulate(BenchRow& row, const BenchRow& step, int steps_so_far) {
       row.work_expansion.stddev * (1.0 - w) + step.work_expansion.stddev * w;
 }
 
-PointSet make_tree_input(const BenchConfig& cfg) {
-  switch (cfg.input) {
-    case InputKind::kCovtype:
-      return gen_covtype_like(cfg.n, cfg.dim, cfg.seed);
-    case InputKind::kMnist:
-      return gen_mnist_like(cfg.n, cfg.dim, cfg.seed);
-    case InputKind::kUniform:
-      return gen_uniform(cfg.n, cfg.dim, cfg.seed);
-    case InputKind::kGeocity:
-      return gen_geocity_like(cfg.n, cfg.seed);
-    default:
-      throw std::invalid_argument("make_tree_input: body input for tree algo");
-  }
-}
-
-void apply_order(PointSet& pts, const BenchConfig& cfg) {
-  if (cfg.sorted) {
-    // Spatial sort (section 4.4): Morton order in low dimensions, kd-tree
-    // leaf order otherwise.
-    auto perm = pts.dim() <= 3 ? morton_order(pts)
-                               : tree_order(pts, cfg.leaf_size);
-    pts.permute(perm);
-  } else {
-    auto perm = shuffled_order(pts.size(), cfg.seed ^ 0x5bd1e995);
-    pts.permute(perm);
-  }
-}
-
-// Generate + order the Barnes-Hut body set (shared by the solo and
-// prepared-kernel paths so both traverse the identical input).
-BodySet make_bh_input(const BenchConfig& cfg) {
-  if (cfg.input != InputKind::kPlummer && cfg.input != InputKind::kRandomBodies)
-    throw std::invalid_argument("run_bench: BH needs a body input");
-  BodySet bodies = cfg.input == InputKind::kPlummer
-                       ? gen_plummer(cfg.n, cfg.seed)
-                       : gen_random_bodies(cfg.n, cfg.seed);
-  auto perm = cfg.sorted ? morton_order(bodies.pos)
-                         : shuffled_order(cfg.n, cfg.seed ^ 0x5bd1e995);
-  bodies.pos.permute(perm);
-  {  // masses/velocities follow the position permutation
-    std::vector<float> m(cfg.n), v(3 * cfg.n);
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      m[j] = bodies.mass[perm[j]];
-      for (int d = 0; d < 3; ++d)
-        v[static_cast<std::size_t>(d) * cfg.n + j] =
-            bodies.vel[static_cast<std::size_t>(d) * cfg.n + perm[j]];
-    }
-    bodies.mass = std::move(m);
-    bodies.vel = std::move(v);
-  }
-  return bodies;
-}
-
 bool nearly_equal(float a, float b, float tol) {
   if (a == b) return true;
   if (std::isinf(a) || std::isinf(b)) return a == b;
@@ -316,10 +299,11 @@ BenchRow run_bench(const BenchConfig& cfg) {
   BenchRow row;
   row.config = cfg;
   GpuAddressSpace space;
+  const KernelRequest req = kernel_request(cfg);
 
   switch (cfg.algo) {
     case Algo::kBH: {
-      BodySet bodies = make_bh_input(cfg);
+      BodySet bodies = make_bodies(req);
       // The paper integrates several timesteps, rebuilding the octree each
       // step; traversal metrics accumulate across steps.
       int steps = std::max(1, cfg.bh_timesteps);
@@ -352,8 +336,7 @@ BenchRow run_bench(const BenchConfig& cfg) {
       break;
     }
     case Algo::kPC: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
+      PointSet pts = make_points(req);
       KdTree tree = build_kdtree(pts, cfg.leaf_size);
       float r = pc_pick_radius(pts, cfg.pc_target_neighbors, cfg.seed);
       PointCorrelationKernel k(tree, pts, r, space);
@@ -362,8 +345,7 @@ BenchRow run_bench(const BenchConfig& cfg) {
       break;
     }
     case Algo::kKNN: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
+      PointSet pts = make_points(req);
       KdTree tree = build_kdtree(pts, cfg.leaf_size);
       KnnKernel k(tree, pts, cfg.k, space);
       run_all(row, cfg, k, space, [](const KnnResult& a, const KnnResult& b) {
@@ -373,8 +355,7 @@ BenchRow run_bench(const BenchConfig& cfg) {
       break;
     }
     case Algo::kNN: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
+      PointSet pts = make_points(req);
       KdTreeNN tree = build_kdtree_nn(pts);
       NnKernel k(tree, pts, space);
       run_all(row, cfg, k, space, [](const NnResult& a, const NnResult& b) {
@@ -383,8 +364,7 @@ BenchRow run_bench(const BenchConfig& cfg) {
       break;
     }
     case Algo::kVP: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
+      PointSet pts = make_points(req);
       VpTree tree = build_vptree(pts, cfg.seed ^ 0x7b1fa2);
       VpKernel k(tree, pts, space);
       run_all(row, cfg, k, space, [](const VpResult& a, const VpResult& b) {
@@ -396,73 +376,11 @@ BenchRow run_bench(const BenchConfig& cfg) {
   return row;
 }
 
-namespace {
-
-// Build `k` (referencing data held in `owners`) and wrap it in a handle
-// that keeps all of it alive.
-template <class K>
-std::shared_ptr<KernelHandle> owning_handle(
-    std::shared_ptr<K> k, std::vector<std::shared_ptr<void>> owners) {
-  owners.push_back(k);
-  auto keep = std::make_shared<std::vector<std::shared_ptr<void>>>(
-      std::move(owners));
-  return make_kernel_handle(*k, std::move(keep));
-}
-
-}  // namespace
-
-// Construct one item's kernel exactly the way run_bench does for its solo
-// row (same generators, ordering, tree builders, radius picking), so the
-// served or sharded launch traverses the identical input in an
-// identically laid-out address space.
 std::unique_ptr<PreparedKernel> prepare_kernel(const BenchConfig& cfg) {
+  register_bench_kernels();
   auto out = std::make_unique<PreparedKernel>();
-  switch (cfg.algo) {
-    case Algo::kBH: {
-      auto bodies = std::make_shared<BodySet>(make_bh_input(cfg));
-      auto tree =
-          std::make_shared<Octree>(build_octree(bodies->pos, bodies->mass));
-      auto k = std::make_shared<BarnesHutKernel>(
-          *tree, bodies->pos, cfg.bh_theta, cfg.bh_eps2, out->space);
-      out->handle = owning_handle(k, {bodies, tree});
-      break;
-    }
-    case Algo::kPC: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTree>(build_kdtree(*pts, cfg.leaf_size));
-      float r = pc_pick_radius(*pts, cfg.pc_target_neighbors, cfg.seed);
-      auto k = std::make_shared<PointCorrelationKernel>(*tree, *pts, r,
-                                                        out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kKNN: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTree>(build_kdtree(*pts, cfg.leaf_size));
-      auto k = std::make_shared<KnnKernel>(*tree, *pts, cfg.k, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kNN: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTreeNN>(build_kdtree_nn(*pts));
-      auto k = std::make_shared<NnKernel>(*tree, *pts, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kVP: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree =
-          std::make_shared<VpTree>(build_vptree(*pts, cfg.seed ^ 0x7b1fa2));
-      auto k = std::make_shared<VpKernel>(*tree, *pts, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-  }
+  out->handle = KernelFactory::instance().make(
+      kernel_name(cfg.algo), kernel_request(cfg), out->space);
   // Copy-in/copy-out accounting, as in run_all: everything registered so
   // far (tree + points) crosses the bus; the stack arena the launch
   // engine adds later is device-internal.

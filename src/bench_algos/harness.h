@@ -13,6 +13,7 @@
 
 #include "core/batch_scheduler.h"
 #include "core/device_group.h"
+#include "core/kernel_factory.h"
 #include "core/serving.h"
 #include "core/ir/callset_analysis.h"
 #include "core/variant.h"
@@ -166,6 +167,15 @@ struct BenchRow {
   }
 };
 
+// The KernelFactory spelling of one cell (bench_algos/register_kernels.h):
+// the registered builder name ("bh", "pc", "knn", "nn", "vp") and the
+// request that builds the cell's input, tree and kernel. The request holds
+// section 4.4's sorted order -- Morton in <= 3 dimensions (BH's bodies,
+// geocity), kd-tree leaf order otherwise -- or the shuffled order when
+// !cfg.sorted.
+[[nodiscard]] const char* kernel_name(Algo a);
+[[nodiscard]] KernelRequest kernel_request(const BenchConfig& cfg);
+
 // Run all variants for one benchmark/input/order cell. A variant whose
 // simulation fails (rope-stack overflow) is reported through its
 // VariantResult::error field instead of aborting the row, so the other
@@ -180,10 +190,10 @@ BenchRow run_bench(const BenchConfig& config);
 
 // One prepared benchmark kernel, fully owned: the launch's address space
 // plus a handle whose keep-alive parks the generated input, tree and
-// kernel object so everything outlives the run. Built exactly the way
-// run_bench builds the item's solo row (same generators, ordering, tree
-// builders, radius picking). This is the unit bench/serving submits as a
-// core QuerySet, and what run_sharding builds per item.
+// kernel object so everything outlives the run. Built by KernelFactory
+// from kernel_request(cfg), the same input run_bench traverses for the
+// item's solo row. This is the unit bench/serving submits as a core
+// QuerySet, and what run_sharding builds per item.
 struct PreparedKernel {
   GpuAddressSpace space;
   std::shared_ptr<KernelHandle> handle;

@@ -34,11 +34,8 @@ std::vector<std::uint32_t> order_permutation(const PointSet& pts,
   throw std::logic_error("order_permutation: bad order");
 }
 
-namespace {
-
-// Input generation for the point benchmarks. "" = the canonical Table-1
-// input (covtype); unknown spellings throw listing the valid ones,
-// matching the factory's own unknown-name convention.
+// Unknown input spellings throw listing the valid ones, matching the
+// factory's own unknown-name convention.
 PointSet make_points(const KernelRequest& req) {
   const std::string in = req.input.empty() ? "covtype" : req.input;
   PointSet pts = [&] {
@@ -47,22 +44,20 @@ PointSet make_points(const KernelRequest& req) {
     if (in == "uniform") return gen_uniform(req.n, req.dim, req.seed);
     if (in == "geocity") return gen_geocity_like(req.n, req.seed);
     throw std::invalid_argument(
-        "kernel_factory: unknown input '" + in +
+        "make_points: unknown input '" + in +
         "' for a point benchmark (valid: covtype, geocity, mnist, uniform)");
   }();
   pts.permute(order_permutation(pts, req.order, req.leaf_size, req.seed));
   return pts;
 }
 
-// Input generation for the body benchmarks; masses and velocities follow
-// the position permutation (same bookkeeping as the harness).
 BodySet make_bodies(const KernelRequest& req) {
   const std::string in = req.input.empty() ? "plummer" : req.input;
   BodySet bodies = [&] {
     if (in == "plummer") return gen_plummer(req.n, req.seed);
     if (in == "random_bodies") return gen_random_bodies(req.n, req.seed);
     throw std::invalid_argument(
-        "kernel_factory: unknown input '" + in +
+        "make_bodies: unknown input '" + in +
         "' for a body benchmark (valid: plummer, random_bodies)");
   }();
   auto perm = order_permutation(bodies.pos, req.order, req.leaf_size, req.seed);
@@ -79,6 +74,8 @@ BodySet make_bodies(const KernelRequest& req) {
   bodies.vel = std::move(v);
   return bodies;
 }
+
+namespace {
 
 // Each builder parks its data + tree + kernel in a bundle behind the
 // handle's keep-alive, so the handle is self-contained. Kernels hold

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/kernel_factory.h"
+#include "data/generators.h"
 #include "spatial/point_set.h"
 
 namespace tt {
@@ -28,5 +29,12 @@ void register_bench_kernels();
 // Morton gating both use it.)
 [[nodiscard]] std::vector<std::uint32_t> order_permutation(
     const PointSet& pts, PointOrder order, int leaf_size, std::uint64_t seed);
+
+// The builders' inputs: req.input generated at req.n / req.dim / req.seed
+// ("" = the canonical Table-1 input: covtype, plummer) and laid out in
+// req.order. Bodies carry their masses and velocities through the
+// permutation. Unknown inputs throw, listing the valid ones.
+[[nodiscard]] PointSet make_points(const KernelRequest& req);
+[[nodiscard]] BodySet make_bodies(const KernelRequest& req);
 
 }  // namespace tt

@@ -119,136 +119,6 @@ void write_selection(JsonWriter& w, const SelectionInfo& s) {
 
 }  // namespace
 
-MetricsRegistry metrics_for_row(const BenchRow& row) {
-  MetricsRegistry reg;
-  for (Variant v : kAllVariants) {
-    const VariantResult& r = row.result(v);
-    if (!r.ok()) continue;
-    std::string prefix = std::string("gpu/") + variant_name(v) + "/";
-    register_kernel_stats(reg, r.stats, prefix);
-    register_time_breakdown(reg, r.time, prefix);
-    if (r.selection) {
-      reg.add_counter(prefix + "selection/samples", r.selection->samples);
-      reg.add_counter(prefix + "selection/chose_lockstep",
-                      r.selection->chosen == Variant::kAutoLockstep ? 1 : 0);
-      reg.set_gauge(prefix + "selection/mean_similarity",
-                    r.selection->mean_similarity);
-      reg.set_gauge(prefix + "selection/baseline_similarity",
-                    r.selection->baseline_similarity);
-      reg.set_gauge(prefix + "selection/threshold", r.selection->threshold);
-      reg.set_gauge(prefix + "selection/sampling_cycles",
-                    r.selection->sampling_cycles);
-    }
-    if (r.profile) {
-      for (std::size_t b = 0; b < kNumCycleBuckets; ++b)
-        reg.set_gauge(prefix + "profile/" +
-                          cycle_bucket_name(static_cast<CycleBucket>(b)) +
-                          "_cycles",
-                      r.profile->buckets[b]);
-      reg.set_gauge(prefix + "profile/memory_cycles",
-                    r.profile->memory_cycles);
-    }
-  }
-  register_cpu_model(reg, row.cpu_model, "cpu/");
-  register_transfer_model(reg, row.transfer, row.upload_bytes,
-                          row.download_bytes, "transfer/", row.launches);
-  return reg;
-}
-
-MetricsRegistry metrics_for_sharding(const ShardingRunSummary& sharding) {
-  MetricsRegistry reg;
-  reg.add_counter("sharding/devices",
-                  static_cast<std::uint64_t>(sharding.devices));
-  reg.add_counter("sharding/chunk_points",
-                  static_cast<std::uint64_t>(sharding.chunk_points));
-  reg.add_counter("sharding/kernels",
-                  static_cast<std::uint64_t>(sharding.kernels.size()));
-  reg.set_gauge("sharding/single_device_ms", sharding.single_device_ms());
-  reg.set_gauge("sharding/makespan_ms", sharding.makespan_ms());
-  reg.set_gauge("sharding/speedup", sharding.speedup());
-  double copy_in = 0;
-  double overlap = 0;
-  for (const ShardingKernelReport& k : sharding.kernels) {
-    for (const DeviceShard& d : k.devices) {
-      copy_in += d.transfer.copy_in_ms;
-      overlap += d.transfer.overlap_ms;
-      std::string prefix =
-          "sharding/" + k.kernel_name + "/dev" + std::to_string(d.device) + "/";
-      reg.add_counter(prefix + "chunks", static_cast<std::uint64_t>(d.chunks));
-      reg.add_counter(prefix + "steals", static_cast<std::uint64_t>(d.steals));
-      reg.set_gauge(prefix + "busy_ms", d.busy_ms);
-      reg.set_gauge(prefix + "overlap_ms", d.transfer.overlap_ms);
-    }
-  }
-  reg.set_gauge("sharding/transfer/copy_in_ms", copy_in);
-  reg.set_gauge("sharding/transfer/overlap_ms", overlap);
-  reg.set_gauge("sharding/transfer/overlap_efficiency",
-                copy_in > 0 ? overlap / copy_in : 0.0);
-  return reg;
-}
-
-MetricsRegistry metrics_for_fusion(const FusionRunSummary& fusion) {
-  MetricsRegistry reg;
-  reg.add_counter("fusion/pairs",
-                  static_cast<std::uint64_t>(fusion.pairs.size()));
-  for (const FusionPairReport& p : fusion.pairs) {
-    for (const FusionVariantRow& r : p.variants) {
-      if (!r.ok) continue;
-      std::string prefix =
-          "fusion/" + p.fused_name + "/" + variant_name(r.variant) + "/";
-      reg.add_counter(prefix + "fused_lane_visits", r.fused.lane_visits);
-      reg.add_counter(prefix + "sequential_lane_visits",
-                      r.sequential.lane_visits);
-      reg.add_counter(prefix + "shared_loads_elided",
-                      r.fused.shared_loads_elided);
-      reg.add_counter(prefix + "byte_identical", r.byte_identical ? 1 : 0);
-      reg.set_gauge(prefix + "visit_cycles_saved", r.visit_cycles_saved());
-      reg.set_gauge(prefix + "mem_stall_cycles_saved",
-                    r.mem_stall_cycles_saved());
-      reg.set_gauge(prefix + "fused_total_ms", r.fused_time.total_ms);
-      reg.set_gauge(prefix + "sequential_total_ms",
-                    r.sequential_time.total_ms);
-    }
-  }
-  return reg;
-}
-
-MetricsRegistry metrics_for_serving(const ServingRunSummary& serving) {
-  MetricsRegistry reg;
-  const ServingReport& r = serving.report;
-  reg.add_counter("serving/devices",
-                  static_cast<std::uint64_t>(r.devices));
-  reg.add_counter("serving/queries/submitted",
-                  static_cast<std::uint64_t>(r.submitted));
-  reg.add_counter("serving/queries/completed",
-                  static_cast<std::uint64_t>(r.completed));
-  reg.add_counter("serving/queries/dropped",
-                  static_cast<std::uint64_t>(r.dropped));
-  reg.add_counter("serving/queries/failed",
-                  static_cast<std::uint64_t>(r.failed));
-  reg.add_counter("serving/drains",
-                  static_cast<std::uint64_t>(r.drains.size()));
-  reg.add_counter("serving/queue/depth_max",
-                  static_cast<std::uint64_t>(r.queue_depth_max));
-  reg.set_gauge("serving/queue/depth_mean", r.queue_depth.mean);
-  reg.set_gauge("serving/rate_qps", serving.rate_qps);
-  reg.set_gauge("serving/throughput_qps", r.throughput_qps());
-  reg.set_gauge("serving/occupancy", r.occupancy());
-  reg.set_gauge("serving/latency/mean_ms", r.latency.mean);
-  reg.set_gauge("serving/latency/p50_ms", r.latency.p50);
-  reg.set_gauge("serving/latency/p95_ms", r.latency.p95);
-  reg.set_gauge("serving/latency/p99_ms", r.latency.p99);
-  reg.set_gauge("serving/latency/max_ms", r.latency.max);
-  reg.set_gauge("serving/queue_delay/mean_ms", r.queue_delay.mean);
-  reg.set_gauge("serving/queue_delay/p50_ms", r.queue_delay.p50);
-  reg.set_gauge("serving/queue_delay/p95_ms", r.queue_delay.p95);
-  reg.set_gauge("serving/queue_delay/p99_ms", r.queue_delay.p99);
-  reg.set_gauge("serving/transfer/amortized_ms", r.amortized_transfer_ms());
-  reg.set_gauge("serving/transfer/summed_solo_ms",
-                r.summed_solo_transfer_ms());
-  return reg;
-}
-
 RunReport::RunReport(std::string generator)
     : generator_(std::move(generator)) {}
 
@@ -264,6 +134,8 @@ void RunReport::write(std::ostream& os) const {
   w.member("generator", generator_);
   w.member("git_sha", TT_GIT_SHA);
   if (seed_) w.member("seed", *seed_);
+  if (profile_samples_) w.member("profile_samples", *profile_samples_);
+  if (profile_seed_) w.member("profile_seed", *profile_seed_);
   w.member("include_volatile", include_volatile_);
   if (device_) {
     w.key("device");
@@ -330,9 +202,6 @@ void RunReport::write(std::ostream& os) const {
     w.member("launch_overhead_ms", row.transfer.launch_overhead_ms);
     w.member("round_trip_ms", row.transfer_ms());
     w.end_object();
-
-    w.key("metrics");
-    metrics_for_row(row).write_json(w);
 
     w.end_object();  // row
   }
@@ -416,8 +285,6 @@ void RunReport::write(std::ostream& os) const {
     }
     w.end_array();
 
-    w.key("metrics");
-    metrics_for_serving(s).write_json(w);
     w.end_object();  // serving
   }
 
@@ -490,8 +357,6 @@ void RunReport::write(std::ostream& os) const {
     }
     w.end_array();
 
-    w.key("metrics");
-    metrics_for_sharding(s).write_json(w);
     w.end_object();  // devices
   }
 
@@ -532,8 +397,6 @@ void RunReport::write(std::ostream& os) const {
       w.end_object();
     }
     w.end_array();
-    w.key("metrics");
-    metrics_for_fusion(f).write_json(w);
     w.end_object();  // fusion
   }
 

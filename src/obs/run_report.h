@@ -2,8 +2,9 @@
 //
 // A report bundles everything needed to interpret (and re-plot) a run
 // without the binary that produced it: the device model, every BenchRow
-// with all variants' counters and modelled time breakdowns, the emitted
-// human tables, and a MetricsRegistry snapshot per row. Reports are
+// with all variants' counters and modelled time breakdowns, and the
+// emitted human tables. Each number appears once, in the block that owns
+// it; nothing is copied into a second, flattened surface. Reports are
 // deterministic -- measured wall-clock values (cpu_t1_ms, sim_wall_ms and
 // everything derived from them) are excluded unless `include_volatile` is
 // set -- so re-running the same binary with the same flags produces a
@@ -18,38 +19,37 @@
 
 #include "bench_algos/harness.h"
 #include "core/device_group.h"
-#include "obs/metrics.h"
 #include "util/csv.h"
 
 namespace tt::obs {
 
 // The document, top to bottom:
-//   schema, generator, git_sha, seed, include_volatile, device -- what
-//     produced the run and the DeviceConfig the cost model charged.
+//   schema, generator, git_sha, seed, profile_samples, profile_seed,
+//     include_volatile, device -- what produced the run, the auto_select
+//     sampler knobs, and the DeviceConfig the cost model charged.
 //   rows -- one object per BenchRow (table1 and the other grid binaries):
 //     the config; "variants", one object per kAllVariants entry with
 //     ok/error, time_ms, avg_nodes, stats and time, the auto_select
 //     launch decision as "selection", and under --profile the
 //     obs/profile.h cycle attribution ("profile") and the
 //     simt/memory_attr.h per-buffer traffic table ("memory"); the CPU
-//     scaling model; work_expansion; the transfer round trip with its
-//     launch count; and the row's metrics registry (metrics_for_row).
+//     scaling model; work_expansion; and the transfer round trip with its
+//     launch count.
 //   serving -- bench/serving only: one open-loop ServingSession run
 //     (arrival scenario, latency and queue-delay percentiles, queue
 //     gauges, per-drain records with their schedule and amortized-vs-solo
-//     transfer, the drain-cadence sweep, metrics_for_serving).
+//     transfer, the drain-cadence sweep).
 //   devices -- bench/sharding only: one multi-device sharded run
 //     (per-kernel single-device time vs makespan, per-device partition and
-//     copy/compute overlap, the devices x chunk-size sweep,
-//     metrics_for_sharding).
+//     copy/compute overlap, the devices x chunk-size sweep).
 //   fusion -- bench/fusion only: fused kernels against their sequential
-//     baselines per pair and variant (metrics_for_fusion).
+//     baselines per pair and variant.
 //   tables -- the human tables the binary printed; tables whose cells
 //     embed wall-clock values only under include_volatile.
 // tools/json_validate accepts only this tag, re-derives every block's
 // invariants, and with --golden compares two whole reports with only
 // git_sha normalized.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v10";
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v11";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents
@@ -89,36 +89,20 @@ struct FusionRunSummary {
   std::vector<FusionPairReport> pairs;
 };
 
-// Registry for the fusion block: per pair x variant, the fused/sequential
-// visit counts and the derived cycle savings under
-// "fusion/<pair>/<variant>/".
-MetricsRegistry metrics_for_fusion(const FusionRunSummary& fusion);
-
-// Build the per-row registry: every variant's KernelStats and
-// TimeBreakdowns under "gpu/<variant>/", the CPU scaling model under
-// "cpu/" and the transfer model under "transfer/". Failed variants
-// contribute nothing but an error gauge is not needed -- the row JSON
-// carries the error string.
-MetricsRegistry metrics_for_row(const BenchRow& row);
-
-// Registry for the serving block: query counters and queue-depth /
-// occupancy gauges under "serving/queue/" and "serving/", latency and
-// queue-delay percentiles under "serving/latency/" and
-// "serving/queue_delay/", and the wave-amortized transfer split under
-// "serving/transfer/".
-MetricsRegistry metrics_for_serving(const ServingRunSummary& serving);
-
-// Registry for the devices block: group-level makespan / speedup /
-// overlap-efficiency gauges under "sharding/" and per-kernel per-device
-// busy and overlap gauges under "sharding/<kernel>/dev<i>/".
-MetricsRegistry metrics_for_sharding(const ShardingRunSummary& sharding);
-
 class RunReport {
  public:
   // `generator` names the producing binary ("table1", "ablation_ropes"...).
   explicit RunReport(std::string generator);
 
   void set_seed(std::uint64_t seed) { seed_ = seed; }
+  // The auto_select sampler knobs every row and run of the report was
+  // drawn with (--profile-samples / --profile-seed): they move
+  // auto_select's time and serving's latencies without appearing in any
+  // row's config.
+  void set_profile_sampler(std::uint64_t samples, std::uint64_t seed) {
+    profile_samples_ = samples;
+    profile_seed_ = seed;
+  }
   void set_device(const DeviceConfig& device) { device_ = device; }
   // Include measured wall-clock values (breaks byte-identity across runs).
   void set_include_volatile(bool v) { include_volatile_ = v; }
@@ -158,6 +142,8 @@ class RunReport {
  private:
   std::string generator_;
   std::optional<std::uint64_t> seed_;
+  std::optional<std::uint64_t> profile_samples_;
+  std::optional<std::uint64_t> profile_seed_;
   std::optional<DeviceConfig> device_;
   bool include_volatile_ = false;
   bool include_memory_ = false;

@@ -23,23 +23,6 @@ double RunningStats::variance() const {
   return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  std::size_t n = n_ + other.n_;
-  double na = static_cast<double>(n_);
-  double nb = static_cast<double>(other.n_);
-  mean_ += delta * nb / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = n;
-}
-
 Summary RunningStats::summary() const {
   Summary s;
   s.count = n_;

@@ -25,7 +25,6 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return mean_; }
   double variance() const;
-  void merge(const RunningStats& other);
 
  private:
   std::size_t n_ = 0;

@@ -1,13 +1,18 @@
 // RunReport tests: byte-identical repeated emission, parse-back equality
-// against the BenchRow it was built from, schema tagging, and the
+// against the BenchRow it was built from (every KernelStats counter, once),
+// schema tagging, the bench binaries' sampler knobs, and the
 // volatile-field gating that the determinism guarantee rests on.
 #include "obs/run_report.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "bench_common.h"
 #include "obs/json.h"
 
 namespace tt::obs {
@@ -100,16 +105,8 @@ TEST(RunReport, ParseBackMatchesSource) {
   EXPECT_FALSE(rl->find("ok")->as_bool());
   EXPECT_EQ(rl->find("error")->as_string(), "rope stack overflow (warp 3)");
 
-  // Per-row metrics registry is embedded and consistent with the stats.
-  const JsonValue* metrics = row.find("metrics");
-  ASSERT_TRUE(metrics && metrics->is_object());
-  EXPECT_EQ(metrics->find("counters")
-                ->find("gpu/auto_lockstep/lane_visits")
-                ->as_uint(),
-            1000u);
-  // Failed variants contribute no metrics.
-  EXPECT_EQ(metrics->find("counters")->find("gpu/rec_lockstep/lane_visits"),
-            nullptr);
+  // Each number appears once: the stats/time blocks are the only surface.
+  EXPECT_EQ(row.find("metrics"), nullptr);
 
   const JsonValue* tables = root->find("tables");
   ASSERT_TRUE(tables && tables->is_array());
@@ -131,15 +128,68 @@ TEST(RunReport, VolatileFlagIncludesWallClockFields) {
   EXPECT_EQ(tables->arr_v[1]->find("name")->as_string(), "speedups");
 }
 
-TEST(RunReport, MetricsForRowMergesAllSubsystems) {
-  MetricsRegistry reg = metrics_for_row(sample_row());
-  EXPECT_EQ(reg.counter("gpu/auto_lockstep/votes"), 60u);
-  EXPECT_EQ(reg.counter("transfer/upload_bytes"), 4096u);
-  EXPECT_TRUE(reg.has_gauge("cpu/beta"));
-  EXPECT_FALSE(reg.has_counter("gpu/rec_lockstep/votes"))
-      << "failed variant must not register";
-  // Succeeded-but-untouched variants register zeros (still present).
-  EXPECT_TRUE(reg.has_counter("gpu/auto_nolockstep/lane_visits"));
+TEST(RunReport, StatsBlockCarriesEveryKernelStatsCounter) {
+  // A distinct value per scalar counter, so a swapped or dropped member
+  // cannot pass.
+  KernelStats s;
+  s.load_instructions = 1;
+  s.dram_transactions = 2;
+  s.l2_hit_transactions = 3;
+  s.dram_bytes = 4;
+  s.instr_cycles = 5.5;
+  s.warp_steps = 6;
+  s.lane_visits = 7;
+  s.warp_pops = 8;
+  s.calls = 9;
+  s.votes = 10;
+  s.active_lane_sum = 11;
+  s.peak_stack_entries = 12;
+  s.smem_cache_hits = 13;
+  s.smem_cache_misses = 14;
+  s.shared_loads_elided = 15;
+  BenchRow row = sample_row();
+  row.result(Variant::kAutoLockstep).stats = s;
+  RunReport rep("unit_test");
+  rep.add_row(row);
+
+  auto root = json_parse(rep.to_string());
+  const JsonValue* stats = root->find("rows")->arr_v[0]->find("variants")
+                               ->find("auto_lockstep")->find("stats");
+  ASSERT_TRUE(stats && stats->is_object());
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"load_instructions", 1},   {"dram_transactions", 2},
+      {"l2_hit_transactions", 3}, {"dram_bytes", 4},
+      {"warp_steps", 6},          {"lane_visits", 7},
+      {"warp_pops", 8},           {"calls", 9},
+      {"votes", 10},              {"active_lane_sum", 11},
+      {"peak_stack_entries", 12}, {"smem_cache_hits", 13},
+      {"smem_cache_misses", 14},  {"shared_loads_elided", 15}};
+  for (const auto& [name, value] : counters) {
+    const JsonValue* v = stats->find(name);
+    ASSERT_NE(v, nullptr) << name;
+    EXPECT_EQ(v->as_uint(), value) << name;
+  }
+  ASSERT_NE(stats->find("instr_cycles"), nullptr);
+  EXPECT_DOUBLE_EQ(stats->find("instr_cycles")->as_number(), 5.5);
+  EXPECT_EQ(stats->obj_v.size(), 15u) << "one member per scalar counter";
+}
+
+TEST(RunReport, BenchReportRecordsSamplerKnobsNextToSeed) {
+  Cli cli("unit_test");
+  benchx::add_common_flags(cli);
+  const char* argv[] = {"unit_test", "--profile-seed=7",
+                        "--profile-samples=8"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  auto root = json_parse(benchx::make_report(cli, "unit_test").to_string());
+  EXPECT_EQ(root->find("seed")->as_uint(), 42u);
+  EXPECT_EQ(root->find("profile_samples")->as_uint(), 8u);
+  EXPECT_EQ(root->find("profile_seed")->as_uint(), 7u);
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : root->obj_v) keys.push_back(k);
+  const auto seed = std::find(keys.begin(), keys.end(), "seed");
+  ASSERT_LE(seed + 3, keys.end());
+  EXPECT_EQ(seed[1], "profile_samples");
+  EXPECT_EQ(seed[2], "profile_seed");
 }
 
 TEST(RunReport, WriteFileRoundTrips) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/rng.h"
 
 namespace tt {
 namespace {
@@ -29,31 +28,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.stddev, 2.0);  // classic textbook sample
   EXPECT_DOUBLE_EQ(s.min, 2.0);
   EXPECT_DOUBLE_EQ(s.max, 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Pcg32 rng(3);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.normal(3.0, 2.0);
-    all.add(v);
-    (i % 2 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.count(), all.count());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(Summarize, SpanOverload) {

@@ -1,8 +1,10 @@
 // Validates a treetrav.run_report JSON file (obs/run_report.h) and
 // re-derives the invariants each block must satisfy. Only the current
-// schema tag is accepted. Every report carries the provenance members and
-// the "rows" and "tables" arrays; the optional blocks are checked when
-// present:
+// schema tag is accepted, so a reader of an older layout fails on the tag
+// instead of on a missing block. Every report carries the provenance
+// members -- generator, git_sha and the auto_select sampler knobs
+// profile_samples and profile_seed -- and the "rows" and "tables" arrays;
+// the optional blocks are checked when present:
 //   rows[].variants -- written by table1 and every grid binary: one object
 //     per variant with ok, stats and time. An ok auto_select carries its
 //     "selection" block and names an autoropes composition; an ok
@@ -23,6 +25,8 @@
 //     the slowest device's busy time, bounded by the summed busy time.
 //   fusion (bench/fusion) -- every ok row is byte_identical and the fused
 //     walk's visits never exceed the constituents' sum.
+// Each number lives in exactly one of these blocks, so each invariant is
+// checked against the one value every reader sees.
 // Exit 0 on success; nonzero with a diagnostic on stderr otherwise. Used
 // by the *_json_validate ctests and scripts/check.sh.
 //
@@ -458,8 +462,7 @@ int check_serving(const JsonValue& serving) {
         "variant", "policy",
         "drain_policy", "queue_capacity", "submitted", "completed",
         "dropped", "failed", "span_ms", "throughput_qps", "occupancy",
-        "latency_ms", "queue_delay_ms", "queue", "transfer", "drains",
-        "metrics"})
+        "latency_ms", "queue_delay_ms", "queue", "transfer", "drains"})
     if (!serving.find(field))
       return fail(std::string("serving: missing \"") + field + "\"");
 
@@ -556,7 +559,7 @@ int check_devices(const JsonValue& devices) {
   if (!devices.is_object()) return fail("\"devices\" is not an object");
   for (const char* field :
        {"devices", "chunk_points", "policy", "variant", "single_device_ms",
-        "makespan_ms", "speedup", "kernels", "transfer", "sweep", "metrics"})
+        "makespan_ms", "speedup", "kernels", "transfer", "sweep"})
     if (!devices.find(field))
       return fail(std::string("devices: missing \"") + field + "\"");
   const std::uint64_t n_devices = devices.find("devices")->as_uint();
@@ -665,8 +668,6 @@ int check_fusion(const JsonValue& fusion) {
   const JsonValue* pairs = fusion.find("pairs");
   if (!pairs || !pairs->is_array())
     return fail("fusion: missing \"pairs\" array");
-  if (!fusion.find("metrics"))
-    return fail("fusion: missing \"metrics\" object");
   for (std::size_t i = 0; i < pairs->arr_v.size(); ++i) {
     const JsonValue& p = *pairs->arr_v[i];
     const std::string at = "fusion.pairs[" + std::to_string(i) + "]";
@@ -746,8 +747,10 @@ int main(int argc, char** argv) {
     if (schema->as_string() != tt::obs::kRunReportSchema)
       return fail("schema is \"" + schema->as_string() + "\", expected \"" +
                   tt::obs::kRunReportSchema + "\"");
-    if (!root->find("generator")) return fail("missing \"generator\"");
-    if (!root->find("git_sha")) return fail("missing \"git_sha\"");
+    for (const char* field :
+         {"generator", "git_sha", "profile_samples", "profile_seed"})
+      if (!root->find(field))
+        return fail(std::string("missing \"") + field + "\"");
     const JsonValue* rows = root->find("rows");
     if (!rows || !rows->is_array()) return fail("missing \"rows\" array");
     const JsonValue* tables = root->find("tables");
@@ -793,11 +796,6 @@ int main(int argc, char** argv) {
         if (int rc = check_profile(vat, *vr); rc != 0) return rc;
         if (int rc = check_memory(vat, *vr); rc != 0) return rc;
       }
-      const JsonValue* metrics = row.find("metrics");
-      if (!metrics || !metrics->is_object())
-        return fail(at + ": missing \"metrics\" object");
-      if (!metrics->find("counters"))
-        return fail(at + ".metrics: missing \"counters\"");
     }
     if (const JsonValue* serving = root->find("serving")) {
       int rc = check_serving(*serving);
