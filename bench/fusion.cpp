@@ -44,6 +44,7 @@ TimeBreakdown sum_time(const TimeBreakdown& x, const TimeBreakdown& y) {
   TimeBreakdown t;
   t.compute_ms = x.compute_ms + y.compute_ms;
   t.memory_ms = x.memory_ms + y.memory_ms;
+  t.select_ms = x.select_ms + y.select_ms;
   t.total_ms = x.total_ms + y.total_ms;
   t.memory_bound = t.memory_ms > t.compute_ms;
   t.imbalance = std::max(x.imbalance, y.imbalance);

@@ -5,10 +5,14 @@
 // for that cell. The sweep then asks, for each (samples, threshold)
 // operating point: how often does the sampler's dispatch disagree with
 // that ground truth (mis-selection rate), and how much modelled time does
-// the sampling itself cost relative to the dispatched variant's runtime
-// (overhead)? Thresholds apply to the similarity *lift* (adjacent-pair
-// mean minus random-pair baseline; see core/profiler.h for why raw
-// similarity is not comparable across kernels).
+// the sampling itself add (overhead)? The overhead is the Delta in
+// modelled ms an auto_select launch pays over its dispatched composition:
+// the sampling launch's serial prologue (select_ms, priced by
+// sampling_launch_cycles in core/launch.h -- the charge every launch path
+// applies), reported in ms and relative to the faster composition's
+// total_ms. Thresholds apply to the similarity *lift* (adjacent-pair mean
+// minus random-pair baseline; see core/profiler.h for why raw similarity
+// is not comparable across kernels).
 //
 // The HeuristicFloor column counts cells where even a *perfect* sorted
 // detector would disagree with the oracle: sortedness does not fully
@@ -29,6 +33,7 @@
 #include "bench_algos/register_kernels.h"
 #include "bench_common.h"
 #include "core/kernel_factory.h"
+#include "core/launch.h"
 #include "core/profiler.h"
 #include "core/serving.h"
 #include "util/csv.h"
@@ -41,10 +46,10 @@ struct Cell {
   std::string name;            // "pc/covtype/morton"
   double mean_similarity = 0;  // per sample count, filled in the sweep
   double baseline_similarity = 0;
-  double sampled_visits = 0;
+  double select_ms = 0;  // the sampling launch's modelled prologue
   bool order_is_sorted = false;  // cell built with a spatial sort?
   bool best_is_lockstep = false;
-  double best_cycles = 0;  // instr cycles of the faster composition
+  double best_ms = 0;  // modelled total_ms of the faster composition
 };
 
 PointOrder kOrders[] = {PointOrder::kMorton, PointOrder::kTree,
@@ -65,8 +70,9 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> sample_counts{2, 4, 8, 16, 32, 64};
     const std::vector<double> thresholds{0.05, 0.10, 0.15, 0.20, 0.25,
                                          0.30, 0.35, 0.40, 0.45};
+    const DeviceConfig dev;
 
-    // Per (cell, sample count): the measured mean similarity and visit
+    // Per (cell, sample count): the measured mean similarity and sampling
     // charge. Thresholding is then arithmetic, so one profile run per
     // sample count covers the whole threshold axis.
     std::vector<std::vector<Cell>> by_samples(sample_counts.size());
@@ -94,7 +100,6 @@ int main(int argc, char** argv) {
         GpuAddressSpace space;
         auto handle =
             KernelFactory::instance().make(kernel_name(a), req, space);
-        const DeviceConfig dev;
         // Both autoropes compositions as one batch (isolated per-launch
         // measurements; byte-identical to solo runs by construction).
         std::array<LaunchSpec, 2> specs{
@@ -112,11 +117,10 @@ int main(int argc, char** argv) {
                    point_order_name(order);
           c.mean_similarity = p.mean_similarity;
           c.baseline_similarity = p.baseline_similarity;
-          c.sampled_visits = static_cast<double>(p.sampled_visits);
+          c.select_ms = sampling_launch_cycles(p, dev) / (dev.clock_ghz * 1e6);
           c.order_is_sorted = order != PointOrder::kShuffled;
           c.best_is_lockstep = best_lockstep;
-          c.best_cycles = best_lockstep ? lock.stats.instr_cycles
-                                        : nolock.stats.instr_cycles;
+          c.best_ms = best_lockstep ? lock.time.total_ms : nolock.time.total_ms;
           by_samples[si].push_back(c);
         }
         std::cerr << "# profiled " << kernel_name(a) << "/"
@@ -125,37 +129,33 @@ int main(int argc, char** argv) {
     }
 
     Table table({"Samples", "Threshold", "MisselectRate", "Misselects",
-                 "HeuristicFloor", "Cells", "MeanOverhead%", "MaxOverhead%"});
+                 "HeuristicFloor", "Cells", "MeanSelect(ms)", "MeanOverhead%",
+                 "MaxOverhead%"});
     for (std::size_t si = 0; si < sample_counts.size(); ++si) {
       const std::vector<Cell>& cells = by_samples[si];
       if (cells.empty()) continue;
       for (double threshold : thresholds) {
         std::size_t miss = 0, floor = 0;
-        double overhead_sum = 0, overhead_max = 0;
+        double select_sum = 0, overhead_sum = 0, overhead_max = 0;
         for (const Cell& c : cells) {
           const bool picks_lockstep =
               c.mean_similarity - c.baseline_similarity >= threshold;
           if (picks_lockstep != c.best_is_lockstep) ++miss;
           if (c.order_is_sorted != c.best_is_lockstep) ++floor;
-          // Same charge the auto_select variant applies in run_gpu_sim.
-          const DeviceConfig dev;
-          const double sampling_cycles =
-              c.sampled_visits * (dev.c_visit + dev.c_step);
           const double overhead =
-              c.best_cycles > 0 ? 100.0 * sampling_cycles / c.best_cycles : 0;
+              c.best_ms > 0 ? 100.0 * c.select_ms / c.best_ms : 0;
+          select_sum += c.select_ms;
           overhead_sum += overhead;
           overhead_max = std::max(overhead_max, overhead);
         }
+        const auto n_cells = static_cast<double>(cells.size());
         table.add_row({std::to_string(sample_counts[si]),
                        fmt_fixed(threshold, 2),
-                       fmt_fixed(static_cast<double>(miss) /
-                                     static_cast<double>(cells.size()),
-                                 3),
+                       fmt_fixed(static_cast<double>(miss) / n_cells, 3),
                        std::to_string(miss), std::to_string(floor),
                        std::to_string(cells.size()),
-                       fmt_fixed(overhead_sum /
-                                     static_cast<double>(cells.size()),
-                                 3),
+                       fmt_fixed(select_sum / n_cells, 4),
+                       fmt_fixed(overhead_sum / n_cells, 3),
                        fmt_fixed(overhead_max, 3)});
       }
     }

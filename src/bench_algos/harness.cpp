@@ -236,6 +236,7 @@ void accumulate(BenchRow& row, const BenchRow& step, int steps_so_far) {
     a.time_ms += b.time_ms;  // total traversal time, like the paper
     a.time.compute_ms += b.time.compute_ms;
     a.time.memory_ms += b.time.memory_ms;
+    a.time.select_ms += b.time.select_ms;
     a.time.total_ms += b.time.total_ms;
     a.time.memory_bound = a.time.memory_ms > a.time.compute_ms;
     a.avg_nodes = a.avg_nodes * (1.0 - w) + b.avg_nodes * w;  // per step

@@ -36,24 +36,21 @@ BatchPolicy batch_policy_from_name(const std::string& name) {
 
 BatchSchedule BatchScheduler::schedule() const {
   BatchSchedule s;
-  std::vector<std::size_t> waves(launches_.size(), 0);
   std::size_t max_waves = 0;
-  for (std::size_t i = 0; i < launches_.size(); ++i) {
-    const Entry& e = launches_[i];
+  for (const Entry& e : launches_) {
     s.residency += e.grid;
     s.total_chunks += e.n_warps;
-    waves[i] = e.grid == 0 ? 0 : (e.n_warps + e.grid - 1) / e.grid;
-    max_waves = std::max(max_waves, waves[i]);
+    max_waves = std::max(max_waves, e.waves());
   }
-  s.order.reserve(s.total_chunks);
 
-  auto push_wave = [&](std::size_t launch, std::size_t wave) {
-    const Entry& e = launches_[launch];
-    const std::size_t begin = wave * e.grid;
-    const std::size_t end = std::min(e.n_warps, begin + e.grid);
-    for (std::size_t c = begin; c < end; ++c)
-      s.order.push_back(ChunkRef{static_cast<std::uint32_t>(launch),
-                                 static_cast<std::uint32_t>(c)});
+  // Every wave holds at least one chunk, all from one launch, so the
+  // sequence switches launches exactly where two consecutive waves come
+  // from different launches.
+  const std::size_t none = launches_.size();
+  std::size_t prev = none;
+  auto next_wave = [&](std::size_t launch) {
+    if (prev != none && prev != launch) ++s.switches;
+    prev = launch;
   };
 
   switch (policy_) {
@@ -67,19 +64,17 @@ BatchSchedule BatchScheduler::schedule() const {
       // policy lives in assign_devices).
       for (std::size_t w = 0; w < max_waves; ++w)
         for (std::size_t l = 0; l < launches_.size(); ++l)
-          if (w < waves[l]) push_wave(l, w);
+          if (w < launches_[l].waves()) next_wave(l);
       s.rounds = max_waves;
       break;
     case BatchPolicy::kSequential:
+      // A launch's waves run back to back: one possible switch per launch.
       for (std::size_t l = 0; l < launches_.size(); ++l) {
-        for (std::size_t w = 0; w < waves[l]; ++w) push_wave(l, w);
-        s.rounds += waves[l];
+        if (launches_[l].waves() > 0) next_wave(l);
+        s.rounds += launches_[l].waves();
       }
       break;
   }
-
-  for (std::size_t i = 1; i < s.order.size(); ++i)
-    if (s.order[i].launch != s.order[i - 1].launch) ++s.switches;
   return s;
 }
 

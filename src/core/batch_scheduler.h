@@ -58,27 +58,23 @@ enum class BatchPolicy : std::uint8_t {
 // like variant_from_name).
 [[nodiscard]] BatchPolicy batch_policy_from_name(const std::string& name);
 
-// One scheduled chunk: launch index within the batch + logical warp id.
-struct ChunkRef {
-  std::uint32_t launch = 0;
-  std::uint32_t chunk = 0;
-};
-
-// The policy-ordered chunk issue sequence plus its summary accounting.
+// The summary accounting of the policy-ordered chunk sequence.
 struct BatchSchedule {
-  std::vector<ChunkRef> order;
   std::size_t residency = 0;     // sum of the launches' physical-warp grids
   std::size_t total_chunks = 0;  // sum of the launches' logical warps
   // Residency refills: max per-launch wave count under round-robin (waves
   // overlap across launches), their sum under sequential.
   std::size_t rounds = 0;
-  std::size_t switches = 0;  // adjacent order entries from different launches
+  // Adjacent chunks of the sequence that come from different launches.
+  std::size_t switches = 0;
 };
 
-// Builds the interleaved schedule from per-launch shapes. Pure planning:
+// Accounts the interleaved schedule of per-launch shapes. Pure planning:
 // execution state lives in LaunchRun; ServingSession (core/serving.h)
 // consumes the schedule for per-wave accounting while run_launch_pool
-// drives the (launch, slot) pool directly.
+// drives the (launch, slot) pool directly. The chunk sequence is walked
+// wave by wave and never materialized, so a scheduler reused through
+// clear() accounts a wave without allocating.
 class BatchScheduler {
  public:
   explicit BatchScheduler(BatchPolicy policy) : policy_(policy) {}
@@ -86,6 +82,8 @@ class BatchScheduler {
   void add_launch(const LaunchGeometry& shape) {
     launches_.push_back(Entry{shape.n_warps, shape.grid});
   }
+  // Forget the launches (keeping their storage) for the next batch.
+  void clear() { launches_.clear(); }
 
   [[nodiscard]] BatchPolicy policy() const { return policy_; }
   [[nodiscard]] std::size_t n_launches() const { return launches_.size(); }
@@ -95,6 +93,10 @@ class BatchScheduler {
   struct Entry {
     std::size_t n_warps = 0;
     std::size_t grid = 0;
+    // Residency-sets the launch's chunks fill (its own strip-mined rounds).
+    [[nodiscard]] std::size_t waves() const {
+      return grid == 0 ? 0 : (n_warps + grid - 1) / grid;
+    }
   };
   BatchPolicy policy_;
   std::vector<Entry> launches_;

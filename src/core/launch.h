@@ -13,11 +13,13 @@
 //     stack-arena sizing and addressing, and the StackPolicy x
 //     ConvergencePolicy composition table.
 //
-//   resolve_auto_select / charge_sampling / finish_launch
+//   sampling_launch_cycles / resolve_auto_select / charge_sampling /
+//   finish_launch
 //     The section-4.4 decision taken before a launch (sampler report ->
-//     resolved GpuMode + SelectionInfo), the sampler's cost charge, and
-//     the epilogue every launch shares: merge the per-slot counters, run
-//     the cost model, charge the sampler, build the profile.
+//     resolved GpuMode + SelectionInfo), the sampler's cost (its sampling
+//     launch, charged as a serial prologue), and the epilogue every launch
+//     shares: merge the per-slot counters, run the cost model, charge the
+//     sampler, build the profile.
 //
 //   LaunchRun / TypedLaunchRun<K>
 //     One launch's execution state: the only place that sizes the stack
@@ -240,12 +242,34 @@ struct ResolvedLaunch {
   SelectionInfo selection;
 };
 
+// The sampler's modelled cost: the small launch a GPU would run before
+// the traversal kernel. Its lanes are the sampled traversals in
+// ProfileReport order (sample s on lanes 2s and 2s+1), packed into
+// non-lockstep warps of cfg.warp_size lanes. A warp runs as many loop
+// iterations as its longest lane has visits, each costing c_visit +
+// c_step, and the warps land on SMs round-robin like any launch's; the
+// charge is the busiest SM's cycles. Built from the visit counts the
+// sampler recorded, so nothing is re-simulated: O(samples) host work.
+[[nodiscard]] inline double sampling_launch_cycles(const ProfileReport& p,
+                                                   const DeviceConfig& cfg) {
+  const auto ws = static_cast<std::size_t>(cfg.warp_size);
+  const std::vector<std::uint32_t>& lanes = p.traversal_visits;
+  std::vector<double> per_warp((lanes.size() + ws - 1) / ws, 0.0);
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane)
+    per_warp[lane / ws] =
+        std::max(per_warp[lane / ws], static_cast<double>(lanes[lane]));
+  for (double& c : per_warp) c *= cfg.c_visit + cfg.c_step;
+  return round_robin_sm_load(per_warp, cfg).makespan;
+}
+
 // Turn the similarity sampler's report into the launch's executed mode:
 // lockstep autoropes when adjacent traversals look sorted, non-lockstep
-// autoropes otherwise. The sampled traversals' modelled cost (c_visit +
-// c_step per sampled visit) rides along in the selection.
+// autoropes otherwise. The sampling launch's modelled cost
+// (sampling_launch_cycles) rides along in the selection. A device the
+// memory front end cannot model is rejected here, before it is priced.
 [[nodiscard]] inline ResolvedLaunch resolve_auto_select(
     GpuMode mode, const ProfileReport& p, const DeviceConfig& cfg) {
+  WarpMemory::check_device(cfg);
   mode.auto_select = false;
   mode.autoropes = true;
   mode.lockstep = p.looks_sorted;
@@ -255,22 +279,20 @@ struct ResolvedLaunch {
   sel.samples = p.samples;
   sel.threshold = p.threshold;
   sel.chosen = mode.variant();
-  sel.sampling_cycles =
-      static_cast<double>(p.sampled_visits) * (cfg.c_visit + cfg.c_step);
+  sel.sampling_cycles = sampling_launch_cycles(p, cfg);
   return {mode, sel};
 }
 
 // Charge the sampler to a launch's counters and modelled time: its cycles
-// land in the kSelect bucket and are added to compute time. Total time
-// stays max(compute, memory), so a memory-bound launch's total_ms does not
-// show the charge.
+// land in the kSelect bucket, and its launch runs as a serial prologue
+// before the kernel -- total = select + max(compute, memory), so the
+// charge shows whether the kernel is compute- or memory-bound. Compute
+// time and the memory-bound flag stay the kernel's own.
 inline void charge_sampling(const SelectionInfo& sel, const DeviceConfig& cfg,
                             KernelStats& stats, TimeBreakdown& time) {
   stats.note_sampling_cycles(sel.sampling_cycles);
-  const double cycles_per_ms = cfg.clock_ghz * 1e6;
-  time.compute_ms += sel.sampling_cycles / cycles_per_ms;
-  time.total_ms = std::max(time.compute_ms, time.memory_ms);
-  time.memory_bound = time.memory_ms > time.compute_ms;
+  time.select_ms = sel.sampling_cycles / (cfg.clock_ghz * 1e6);
+  time.total_ms = time.select_ms + std::max(time.compute_ms, time.memory_ms);
 }
 
 // A finished launch's merged counters, modelled time and (when a profile

@@ -43,10 +43,14 @@ struct ProfileReport {
   std::size_t samples = 0;
   double threshold = kSimilarityLiftThreshold;
   bool looks_sorted = false;
-  // Total nodes visited while recording the sampled traversals. Sampling
-  // is not free on a real GPU; the auto_select variant charges these to
-  // the simulated cost model (see run_gpu_sim).
+  // Total nodes visited while recording the sampled traversals.
   std::uint64_t sampled_visits = 0;
+  // Each sampled traversal's visit count, in lane order of the sampling
+  // launch: sample s's pair (pid, pid+1) runs on lanes 2s and 2s+1.
+  // Sampling is not free on a real GPU; the auto_select variant charges
+  // the launch these lanes form to the cost model (sampling_launch_cycles
+  // in core/launch.h).
+  std::vector<std::uint32_t> traversal_visits;
 
   // The decision statistic: how much more similar adjacent traversals are
   // than random ones from the same input.
@@ -95,6 +99,7 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
     return r;
   }
   Pcg32 rng(seed, 11);
+  r.traversal_visits.reserve(2 * samples);
   double total_adjacent = 0;
   double total_baseline = 0;
   std::vector<NodeId> prev;
@@ -104,6 +109,8 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
     auto a = record_traversal(k, pid);
     auto b = record_traversal(k, pid + 1);
     r.sampled_visits += a.size() + b.size();
+    r.traversal_visits.push_back(static_cast<std::uint32_t>(a.size()));
+    r.traversal_visits.push_back(static_cast<std::uint32_t>(b.size()));
     if (s > 0) total_baseline += traversal_jaccard(prev, a);
     prev = a;
     total_adjacent += traversal_jaccard(std::move(a), std::move(b));

@@ -195,7 +195,8 @@ double ServingReport::summed_solo_transfer_ms() const {
   return sum;
 }
 
-ServingSession::ServingSession(ServingConfig cfg) : cfg_(std::move(cfg)) {
+ServingSession::ServingSession(ServingConfig cfg)
+    : cfg_(std::move(cfg)), sched_(cfg_.policy) {
   if (cfg_.drain.max_batch == 0) cfg_.drain.max_batch = 1;
   if (cfg_.drain.max_delay_ms < 0) cfg_.drain.max_delay_ms = 0;
   if (cfg_.devices == 0) cfg_.devices = 1;
@@ -273,66 +274,60 @@ void ServingSession::fire(double trigger_ms) {
   rec.queue_depth_before = count_;
   rec.n_queries = n;
 
-  std::vector<Pending> wave;
-  wave.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) wave.push_back(pop_front());
+  wave_.clear();
+  for (std::size_t i = 0; i < n; ++i) wave_.push_back(pop_front());
 
   // Classify cold (execute) vs warm (replay cached measurements). A wave
   // that opens Chrome tracks executes everything cold so the trace shows
   // real warp activity; caching the executed stats is always sound --
   // batching is results-neutral, so they match what solo would measure.
+  // Only cold launches copy their spec.
   const std::size_t drain_index = drains_.size();
   const bool tracing = cfg_.chrome && drain_index < cfg_.max_drain_tracks;
-  struct Admit {
-    bool warm = false;
-    CachedLaunch info;
-  };
-  std::vector<Admit> admits(n);
-  std::vector<LaunchSpec> cold;
-  std::vector<std::size_t> cold_to_admit;
+  admits_.assign(n, Measured{});
+  cold_.clear();
+  cold_to_admit_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    LaunchSpec spec = wave[i].q.spec;
+    const LaunchSpec& spec = wave_[i].q.spec;
     const bool own_sinks = spec.trace != nullptr || spec.profile != nullptr;
-    if (tracing && !spec.trace)
-      spec.trace = &cfg_.chrome->begin_launch(
-          "drain" + std::to_string(drain_index) + "/" + spec.kernel->name());
     if (cfg_.reuse_identical && !own_sinks && !tracing) {
-      auto it = cache_.find(cache_key(wave[i].q.spec));
+      auto it = cache_.find(cache_key(spec));
       if (it != cache_.end()) {
-        admits[i].warm = true;
-        admits[i].info = it->second;
+        admits_[i] = it->second.measured;
         continue;
       }
     }
-    cold_to_admit.push_back(i);
-    cold.push_back(spec);
+    cold_to_admit_.push_back(i);
+    cold_.push_back(spec);
+    if (tracing && !spec.trace)
+      cold_.back().trace = &cfg_.chrome->begin_launch(
+          "drain" + std::to_string(drain_index) + "/" + spec.kernel->name());
   }
 
   LaunchPool pool;
-  if (!cold.empty()) pool = run_launch_pool(cold, cfg_.device);
-  rec.cold_launches = cold.size();
+  if (!cold_.empty()) pool = run_launch_pool(cold_, cfg_.device);
+  rec.cold_launches = cold_.size();
 
-  for (std::size_t c = 0; c < cold.size(); ++c) {
+  for (std::size_t c = 0; c < cold_.size(); ++c) {
     const LaunchResult& r = pool.launches[c];
-    CachedLaunch info;
-    info.shape = pool.shapes[c];
-    info.variant = r.variant;
-    info.total_ms = r.ok() ? r.time.total_ms : 0.0;
-    info.ok = r.ok();
-    admits[cold_to_admit[c]].info = info;
+    Measured& m = admits_[cold_to_admit_[c]];
+    m.shape = pool.shapes[c];
+    m.variant = r.variant;
+    m.total_ms = r.ok() ? r.time.total_ms : 0.0;
+    m.ok = r.ok();
     if (cfg_.reuse_identical) {
       // Pin the handle: the cache key is its address (see CachedLaunch).
-      info.keepalive = wave[cold_to_admit[c]].q.spec.kernel;
-      cache_.insert_or_assign(cache_key(wave[cold_to_admit[c]].q.spec),
-                              std::move(info));
+      const LaunchSpec& spec = wave_[cold_to_admit_[c]].q.spec;
+      cache_.insert_or_assign(cache_key(spec), CachedLaunch{spec.kernel, m});
     }
   }
+  cold_.clear();
 
   // Schedule accounting over the whole wave, warm launches included: the
   // modelled device still runs them; only the re-simulation was skipped.
-  BatchScheduler sched(cfg_.policy);
-  for (const Admit& a : admits) sched.add_launch(a.info.shape);
-  const BatchSchedule bs = sched.schedule();
+  sched_.clear();
+  for (const Measured& m : admits_) sched_.add_launch(m.shape);
+  const BatchSchedule bs = sched_.schedule();
   rec.residency = bs.residency;
   rec.total_chunks = bs.total_chunks;
   rec.rounds = bs.rounds;
@@ -342,16 +337,16 @@ void ServingSession::fire(double trigger_ms) {
   std::uint64_t up = 0;
   std::uint64_t down = 0;
   std::size_t wave_points = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    up += wave[i].q.upload_bytes;
-    down += wave[i].q.download_bytes;
-    wave_points += wave[i].q.spec.kernel->num_points();
+  for (const Pending& p : wave_) {
+    up += p.q.upload_bytes;
+    down += p.q.download_bytes;
+    wave_points += p.q.spec.kernel->num_points();
     rec.solo_transfer_ms += cfg_.transfer.round_trip_ms(
-        wave[i].q.upload_bytes, wave[i].q.download_bytes, 1);
+        p.q.upload_bytes, p.q.download_bytes, 1);
   }
 
   double total_compute = 0;
-  for (const Admit& a : admits) total_compute += a.info.total_ms;
+  for (const Measured& m : admits_) total_compute += m.total_ms;
   rec.compute_ms = total_compute;
   if (cfg_.shard_chunk > 0) {
     // Pipelined wave upload: copy-in strip-mined into shard_chunk-point
@@ -372,7 +367,7 @@ void ServingSession::fire(double trigger_ms) {
   // round-robin interleaves waves, so every query retires with the wave.
   double prefix = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    prefix += admits[i].info.total_ms;
+    prefix += admits_[i].total_ms;
     const double offset =
         cfg_.policy == BatchPolicy::kSequential ? prefix : total_compute;
     const double completion = rec.dispatch_ms + rec.transfer_ms + offset;
@@ -380,12 +375,13 @@ void ServingSession::fire(double trigger_ms) {
     // completion - arrival: mathematically identical, but immune to the
     // big-minus-big cancellation that would make a query's latency depend
     // on how far into the trace it arrived.
-    const double queued = rec.dispatch_ms - wave[i].arrival_ms;
+    const double queued = rec.dispatch_ms - wave_[i].arrival_ms;
     latencies_.push_back(queued + rec.transfer_ms + offset);
     queue_delays_.push_back(queued);
     last_completion_ms_ = std::max(last_completion_ms_, completion);
-    if (!admits[i].info.ok) ++failed_;
+    if (!admits_[i].ok) ++failed_;
   }
+  wave_.clear();
   device_free_ms_[device] = rec.dispatch_ms + rec.service_ms;
   busy_ms_ += rec.service_ms;
   drains_.push_back(rec);

@@ -239,6 +239,13 @@ class ServingSession {
     QuerySet q;
     double arrival_ms = 0;
   };
+  // What a drain needs of one launch's measurement, executed or replayed.
+  struct Measured {
+    LaunchGeometry shape;
+    Variant variant = Variant::kAutoNolockstep;
+    double total_ms = 0;
+    bool ok = true;
+  };
   // Replayed measurement for an identical (kernel, mode) resubmission.
   // Holds the handle alive: the cache is keyed by the KernelHandle's
   // address, which is only a sound identity while that object exists --
@@ -246,10 +253,7 @@ class ServingSession {
   // handle's key and replay the wrong kernel's measurements.
   struct CachedLaunch {
     std::shared_ptr<KernelHandle> keepalive;
-    LaunchGeometry shape;
-    Variant variant = Variant::kAutoNolockstep;
-    double total_ms = 0;
-    bool ok = true;
+    Measured measured;
   };
   // The whole GpuMode is part of the identity: every knob can change the
   // executed composition or its modelled cost.
@@ -270,6 +274,16 @@ class ServingSession {
   bool any_arrival_ = false;
 
   std::map<CacheKey, CachedLaunch> cache_;
+
+  // Per-drain scratch, reused across drains: once these reach the largest
+  // wave's size, a drain's own bookkeeping allocates nothing. fire()
+  // empties the query-holding ones before it returns, so no handle
+  // outlives its drain here.
+  std::vector<Pending> wave_;
+  std::vector<Measured> admits_;  // per wave query, in admission order
+  std::vector<LaunchSpec> cold_;  // the wave's executed launches
+  std::vector<std::size_t> cold_to_admit_;
+  BatchScheduler sched_;
 
   // Telemetry accumulators (scalars + per-drain records only, so memory
   // stays O(queries served) * 16 bytes even for million-query traces).

@@ -199,7 +199,10 @@ struct SelectionInfo {
   std::uint64_t samples = 0;       // sampled (pid, pid+1) traversal pairs
   double threshold = 0;  // sorted-detection cutoff on the similarity lift
   Variant chosen = Variant::kAutoNolockstep;  // dispatched composition
-  double sampling_cycles = 0;  // modelled cost charged for the sampling
+  // The sampling launch's modelled cost (core/launch.h
+  // sampling_launch_cycles: its busiest SM's cycles), charged as a serial
+  // prologue before the dispatched kernel.
+  double sampling_cycles = 0;
 };
 
 struct GpuMode {

@@ -49,6 +49,7 @@ void write_time(JsonWriter& w, const TimeBreakdown& t) {
   w.begin_object();
   w.member("compute_ms", t.compute_ms);
   w.member("memory_ms", t.memory_ms);
+  w.member("select_ms", t.select_ms);
   w.member("total_ms", t.total_ms);
   w.member("memory_bound", t.memory_bound);
   w.member("imbalance", t.imbalance);

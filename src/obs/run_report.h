@@ -29,8 +29,10 @@ namespace tt::obs {
 //     sampler knobs, and the DeviceConfig the cost model charged.
 //   rows -- one object per BenchRow (table1 and the other grid binaries):
 //     the config; "variants", one object per kAllVariants entry with
-//     ok/error, time_ms, avg_nodes, stats and time, the auto_select
-//     launch decision as "selection", and under --profile the
+//     ok/error, time_ms, avg_nodes, stats and time (total_ms = select_ms
+//     + max(compute_ms, memory_ms); select_ms is the auto_select
+//     sampler's serial prologue and 0 on every other variant), the
+//     auto_select launch decision as "selection", and under --profile the
 //     obs/profile.h cycle attribution ("profile") and the
 //     simt/memory_attr.h per-buffer traffic table ("memory"); the CPU
 //     scaling model; work_expansion; and the transfer round trip with its
@@ -49,7 +51,7 @@ namespace tt::obs {
 // tools/json_validate accepts only this tag, re-derives every block's
 // invariants, and with --golden compares two whole reports with only
 // git_sha normalized.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v11";
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v12";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents

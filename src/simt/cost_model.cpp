@@ -25,31 +25,34 @@ TimeBreakdown estimate_time(const KernelStats& stats, const DeviceConfig& cfg,
   return t;
 }
 
+SmLoad round_robin_sm_load(std::span<const double> per_warp_cycles,
+                           const DeviceConfig& cfg) {
+  std::vector<double> sm_cycles(static_cast<std::size_t>(cfg.num_sms), 0.0);
+  for (std::size_t w = 0; w < per_warp_cycles.size(); ++w)
+    sm_cycles[w % sm_cycles.size()] += per_warp_cycles[w];
+  SmLoad load;
+  for (double c : sm_cycles) {
+    load.makespan = std::max(load.makespan, c);
+    load.total += c;
+  }
+  return load;
+}
+
 TimeBreakdown estimate_time_balanced(std::span<const double> per_warp_cycles,
                                      const KernelStats& stats,
                                      const DeviceConfig& cfg) {
   TimeBreakdown t = estimate_time(stats, cfg, per_warp_cycles.size());
   if (per_warp_cycles.empty()) return t;
 
-  // Hardware block scheduling: warps land on SMs round-robin in launch
-  // order; within an SM, resident warps interleave so the SM finishes when
-  // the sum of its warps' cycles is retired.
-  std::vector<double> sm_cycles(static_cast<std::size_t>(cfg.num_sms), 0.0);
-  for (std::size_t w = 0; w < per_warp_cycles.size(); ++w)
-    sm_cycles[w % sm_cycles.size()] += per_warp_cycles[w];
-  double makespan = 0, total = 0;
-  for (double c : sm_cycles) {
-    makespan = std::max(makespan, c);
-    total += c;
-  }
+  const SmLoad load = round_robin_sm_load(per_warp_cycles, cfg);
   double busy_sms = std::min<double>(
       static_cast<double>(cfg.num_sms),
       static_cast<double>(per_warp_cycles.size()));
-  double ideal = total / busy_sms;
-  t.imbalance = ideal > 0 ? makespan / ideal : 1.0;
+  double ideal = load.total / busy_sms;
+  t.imbalance = ideal > 0 ? load.makespan / ideal : 1.0;
 
   double cycles_per_ms = cfg.clock_ghz * 1e6;
-  t.compute_ms = makespan / cycles_per_ms;
+  t.compute_ms = load.makespan / cycles_per_ms;
   t.total_ms = std::max(t.compute_ms, t.memory_ms);
   t.memory_bound = t.memory_ms > t.compute_ms;
   return t;

@@ -18,8 +18,11 @@ namespace tt {
 struct TimeBreakdown {
   double compute_ms = 0;
   double memory_ms = 0;
-  double total_ms = 0;  // max of the two
-  bool memory_bound = false;
+  // Serial prologue before the kernel: the auto_select sampler's launch
+  // (core/launch.h charge_sampling); 0 for every other launch.
+  double select_ms = 0;
+  double total_ms = 0;  // select_ms + max(compute_ms, memory_ms)
+  bool memory_bound = false;  // memory_ms > compute_ms
   // Makespan / ideal-balance ratio when per-warp cycles were provided
   // (1.0 = perfectly balanced warps).
   double imbalance = 1.0;
@@ -30,10 +33,20 @@ struct TimeBreakdown {
 TimeBreakdown estimate_time(const KernelStats& stats, const DeviceConfig& cfg,
                             std::size_t n_warps = 0);
 
+// Hardware block scheduling: warps land on SMs round-robin in launch
+// order; within an SM, resident warps interleave so the SM finishes when
+// the sum of its warps' cycles is retired.
+struct SmLoad {
+  double makespan = 0;  // the busiest SM's cycles
+  double total = 0;     // all SMs' cycles
+};
+SmLoad round_robin_sm_load(std::span<const double> per_warp_cycles,
+                           const DeviceConfig& cfg);
+
 // Imbalance-aware variant (the paper's Geocity discussion: "traversals in
 // a warp may have very different lengths, leading to load imbalance and
 // hence poor performance", section 6.2). Warps are assigned to SMs in
-// launch order (hardware block scheduling); the compute time becomes the
+// launch order (round_robin_sm_load); the compute time becomes the
 // slowest SM's share instead of the perfectly-balanced average.
 TimeBreakdown estimate_time_balanced(std::span<const double> per_warp_cycles,
                                      const KernelStats& stats,

@@ -3,12 +3,14 @@
 // sorted inputs (Morton and kd-tree leaf order) and to non-lockstep on
 // shuffled inputs, reproduce the chosen composition's results
 // byte-for-byte, and report total cycles = chosen-variant cycles +
-// sampling cycles. Kernels come from core's KernelFactory and run through
-// the type-erased launch pool (one-launch pools are byte-identical to solo
-// runs by the batching contract), which is also what pins the factory
-// registry's name-keyed construction end to end.
+// sampling cycles, paid as a serial prologue (total_ms = select_ms +
+// max(compute_ms, memory_ms)). Kernels come from core's KernelFactory and
+// run through the type-erased launch pool (one-launch pools are
+// byte-identical to solo runs by the batching contract), which is also
+// what pins the factory registry's name-keyed construction end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -64,14 +66,14 @@ KernelRequest shuffled_request() {
 // isolated measurements a solo run_gpu_sim would produce.
 LaunchResult run_one(const std::shared_ptr<KernelHandle>& handle,
                      GpuAddressSpace& space, GpuMode mode,
-                     obs::TraceSink* trace = nullptr) {
+                     obs::TraceSink* trace = nullptr,
+                     const DeviceConfig& dev = DeviceConfig{}) {
   LaunchSpec spec;
   spec.kernel = handle;
   spec.space = &space;
   spec.mode = mode;
   spec.trace = trace;
-  LaunchPool run =
-      run_launch_pool(std::span<const LaunchSpec>(&spec, 1), DeviceConfig{});
+  LaunchPool run = run_launch_pool(std::span<const LaunchSpec>(&spec, 1), dev);
   return std::move(run.launches.front());
 }
 
@@ -104,7 +106,18 @@ void expect_selects(const std::shared_ptr<KernelHandle>& handle,
   EXPECT_EQ(g.per_warp_pops, direct.per_warp_pops);
   EXPECT_DOUBLE_EQ(g.stats.instr_cycles,
                    direct.stats.instr_cycles + sel.sampling_cycles);
-  EXPECT_GT(g.time.compute_ms, direct.time.compute_ms);
+  // The sampling launch runs before the kernel: the kernel's own compute
+  // and memory time stay the dispatched composition's, and the prologue
+  // adds to the total whichever of the two bounds it.
+  const DeviceConfig dev;
+  EXPECT_EQ(g.time.compute_ms, direct.time.compute_ms);
+  EXPECT_EQ(g.time.memory_ms, direct.time.memory_ms);
+  EXPECT_EQ(g.time.memory_bound, direct.time.memory_bound);
+  EXPECT_EQ(direct.time.select_ms, 0.0);
+  EXPECT_EQ(g.time.select_ms, sel.sampling_cycles / (dev.clock_ghz * 1e6));
+  EXPECT_GT(g.time.select_ms, 0.0);
+  EXPECT_EQ(g.time.total_ms,
+            g.time.select_ms + std::max(g.time.compute_ms, g.time.memory_ms));
 
   // The launch decision lands in the trace as a single kSelect event.
   ASSERT_EQ(trace.launch_events().size(), 1u);
@@ -133,6 +146,89 @@ TEST_P(AutoSelectAcceptance, ShuffledOrderPicksNonLockstep) {
   auto handle = KernelFactory::instance().make(
       GetParam(), shuffled_request(), space);
   expect_selects(handle, space, false);
+}
+
+// The case a charge folded into compute time hid: on a memory-bound
+// launch max(compute + sampling, memory) is just memory. As a serial
+// prologue the sampler costs a memory-bound launch exactly select_ms.
+TEST(AutoSelect, MemoryBoundLaunchPaysThePrologue) {
+  KernelRequest req = request_for();
+  req.order = PointOrder::kShuffled;
+  GpuAddressSpace space;
+  auto handle = KernelFactory::instance().make("pc", req, space);
+  DeviceConfig slow_dram;
+  slow_dram.mem_bandwidth_gbps = 0.5;
+  LaunchResult g = run_one(handle, space, GpuMode::from(Variant::kAutoSelect),
+                           nullptr, slow_dram);
+  ASSERT_TRUE(g.ok()) << g.error;
+  ASSERT_TRUE(g.selection.has_value());
+  LaunchResult direct = run_one(handle, space, GpuMode::from(g.variant),
+                                nullptr, slow_dram);
+  ASSERT_TRUE(direct.ok()) << direct.error;
+  ASSERT_TRUE(direct.time.memory_bound);
+  ASSERT_TRUE(g.time.memory_bound);
+  // Memory-bound with room to spare: the old charge would have vanished.
+  ASSERT_GT(g.time.memory_ms,
+            g.time.compute_ms + g.selection->sampling_cycles /
+                                    (slow_dram.clock_ghz * 1e6));
+  EXPECT_GT(g.time.select_ms, 0.0);
+  EXPECT_EQ(g.time.total_ms, g.time.select_ms + direct.time.total_ms);
+  EXPECT_EQ(g.time.total_ms, g.time.select_ms + g.time.memory_ms);
+}
+
+// The sampling launch (sampling_launch_cycles) on hand-built visit counts:
+// non-lockstep warps of warp_size lanes, each running its longest lane's
+// visits at c_visit + c_step per iteration, laid round-robin on SMs.
+TEST(SamplingCharge, LaunchModel) {
+  DeviceConfig dev;
+  const double iter = dev.c_visit + dev.c_step;
+  auto report = [](std::vector<std::uint32_t> lanes) {
+    ProfileReport p;
+    p.samples = lanes.size() / 2;
+    for (std::uint32_t v : lanes) p.sampled_visits += v;
+    p.traversal_visits = std::move(lanes);
+    return p;
+  };
+  auto serial = [&](const ProfileReport& p) {
+    return static_cast<double>(p.sampled_visits) * iter;
+  };
+
+  // Nothing sampled, nothing charged.
+  EXPECT_EQ(sampling_launch_cycles(report({}), dev), 0.0);
+
+  // One sample: lanes 0 and 1 of one warp; the warp runs the longer one.
+  const ProfileReport one = report({7, 19});
+  EXPECT_EQ(sampling_launch_cycles(one, dev), 19 * iter);
+
+  // One full warp costs its longest lane.
+  std::vector<std::uint32_t> warp(32);
+  for (std::uint32_t i = 0; i < 32; ++i) warp[i] = 10 + (i * 7) % 23;
+  warp[13] = 40;
+  EXPECT_EQ(sampling_launch_cycles(report(warp), dev), 40 * iter);
+
+  // 64 lanes (the default 32 samples) form two warps on two SMs: the
+  // charge is the longer warp, not their sum.
+  std::vector<std::uint32_t> two = warp;
+  for (std::uint32_t i = 0; i < 32; ++i) two.push_back(5 + i % 3);
+  two[63] = 55;
+  const ProfileReport p64 = report(two);
+  EXPECT_EQ(sampling_launch_cycles(p64, dev), 55 * iter);
+
+  // More warps than SMs: warps w and w + num_sms share an SM, so their
+  // cycles add, and the busiest SM sets the charge.
+  DeviceConfig narrow = dev;
+  narrow.num_sms = 2;
+  narrow.warp_size = 2;
+  // Warps (max lane): 0:(4) 1:(9) 2:(6) 3:(1) 4:(8) -> SM0 4+6+8, SM1 9+1.
+  const ProfileReport five = report({4, 2, 9, 3, 6, 6, 1, 1, 8, 0});
+  EXPECT_EQ(sampling_launch_cycles(five, narrow), 18 * iter);
+
+  // The launch never costs more than one lane running every sampled
+  // traversal back to back.
+  for (const ProfileReport* p : {&one, &p64, &five}) {
+    EXPECT_LE(sampling_launch_cycles(*p, dev), serial(*p));
+    EXPECT_LE(sampling_launch_cycles(*p, narrow), serial(*p));
+  }
 }
 
 TEST(AutoSelect, ZeroSamplesRejected) {

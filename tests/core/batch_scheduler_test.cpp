@@ -7,10 +7,12 @@
 // every launch known up front, one run_launch_pool call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_algos/nn/nearest_neighbor.h"
@@ -122,38 +124,113 @@ LaunchGeometry shape_of(std::size_t n_warps, std::size_t grid) {
   return s;
 }
 
-TEST(BatchScheduler, RoundRobinInterleavesWaves) {
-  BatchScheduler sched(BatchPolicy::kRoundRobin);
-  sched.add_launch(shape_of(4, 2));  // 2 waves of 2 chunks
-  sched.add_launch(shape_of(3, 1));  // 3 waves of 1 chunk
-  BatchSchedule s = sched.schedule();
-  EXPECT_EQ(s.residency, 3u);
-  EXPECT_EQ(s.total_chunks, 7u);
-  EXPECT_EQ(s.rounds, 3u);  // max per-launch wave count
-  // wave 0: L0{0,1} L1{0}; wave 1: L0{2,3} L1{1}; wave 2: L1{2}.
-  const std::uint32_t want_launch[] = {0, 0, 1, 0, 0, 1, 1};
-  const std::uint32_t want_chunk[] = {0, 1, 0, 2, 3, 1, 2};
-  ASSERT_EQ(s.order.size(), 7u);
-  for (std::size_t i = 0; i < s.order.size(); ++i) {
-    EXPECT_EQ(s.order[i].launch, want_launch[i]) << "at " << i;
-    EXPECT_EQ(s.order[i].chunk, want_chunk[i]) << "at " << i;
+// The launch index of every scheduled chunk, in order, for launches of
+// (n_warps, grid) shapes -- built here chunk by chunk, independently of
+// the scheduler's wave walk, as the reference its counts must match.
+std::vector<std::size_t> interleave(
+    const std::vector<std::pair<std::size_t, std::size_t>>& shapes,
+    BatchPolicy policy) {
+  std::vector<std::size_t> order;
+  auto push_wave = [&](std::size_t l, std::size_t w) {
+    const auto [n_warps, grid] = shapes[l];
+    for (std::size_t c = w * grid; c < std::min(n_warps, (w + 1) * grid); ++c)
+      order.push_back(l);
+  };
+  auto waves = [&](std::size_t l) {
+    return (shapes[l].first + shapes[l].second - 1) / shapes[l].second;
+  };
+  if (policy == BatchPolicy::kSequential) {
+    for (std::size_t l = 0; l < shapes.size(); ++l)
+      for (std::size_t w = 0; w < waves(l); ++w) push_wave(l, w);
+    return order;
   }
-  // Transitions in 0,0,1,0,0,1,1: at indices 2, 3 and 5.
-  EXPECT_EQ(s.switches, 3u);
+  std::size_t max_waves = 0;
+  for (std::size_t l = 0; l < shapes.size(); ++l)
+    max_waves = std::max(max_waves, waves(l));
+  for (std::size_t w = 0; w < max_waves; ++w)
+    for (std::size_t l = 0; l < shapes.size(); ++l)
+      if (w < waves(l)) push_wave(l, w);
+  return order;
+}
+
+std::size_t switches_of(const std::vector<std::size_t>& order) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < order.size(); ++i)
+    if (order[i] != order[i - 1]) ++n;
+  return n;
+}
+
+TEST(BatchScheduler, RoundRobinInterleavesWaves) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {4, 2},   // 2 waves of 2 chunks
+      {3, 1}};  // 3 waves of 1 chunk
+  const std::vector<std::size_t> order =
+      interleave(shapes, BatchPolicy::kRoundRobin);
+  // wave 0: L0{0,1} L1{0}; wave 1: L0{2,3} L1{1}; wave 2: L1{2}.
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 0, 1, 0, 0, 1, 1}));
+  ASSERT_EQ(switches_of(order), 3u);  // at indices 2, 3 and 5
+
+  for (BatchPolicy policy :
+       {BatchPolicy::kRoundRobin, BatchPolicy::kWorkStealing}) {
+    SCOPED_TRACE(batch_policy_name(policy));
+    BatchScheduler sched(policy);
+    for (const auto& [n_warps, grid] : shapes)
+      sched.add_launch(shape_of(n_warps, grid));
+    const BatchSchedule s = sched.schedule();
+    EXPECT_EQ(s.residency, 3u);
+    EXPECT_EQ(s.total_chunks, order.size());
+    EXPECT_EQ(s.rounds, 3u);  // max per-launch wave count
+    EXPECT_EQ(s.switches, switches_of(order));
+  }
+
+  // Wider batches, including a launch with more waves than the others
+  // and one whose grid covers it in a single wave.
+  const std::vector<std::pair<std::size_t, std::size_t>> wide{
+      {5, 2}, {1, 4}, {9, 3}, {2, 1}, {7, 7}};
+  BatchScheduler sched(BatchPolicy::kRoundRobin);
+  for (const auto& [n_warps, grid] : wide)
+    sched.add_launch(shape_of(n_warps, grid));
+  const std::vector<std::size_t> wide_order =
+      interleave(wide, BatchPolicy::kRoundRobin);
+  const BatchSchedule s = sched.schedule();
+  EXPECT_EQ(s.total_chunks, wide_order.size());
+  EXPECT_EQ(s.switches, switches_of(wide_order));
+
+  // clear() forgets the launches: a reused scheduler accounts the next
+  // batch exactly like a fresh one.
+  sched.clear();
+  for (const auto& [n_warps, grid] : shapes)
+    sched.add_launch(shape_of(n_warps, grid));
+  EXPECT_EQ(sched.n_launches(), 2u);
+  EXPECT_EQ(sched.schedule().switches, switches_of(order));
 }
 
 TEST(BatchScheduler, SequentialConcatenates) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{{4, 2},
+                                                                {3, 1}};
+  const std::vector<std::size_t> order =
+      interleave(shapes, BatchPolicy::kSequential);
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 0, 0, 0, 1, 1, 1}));
+
   BatchScheduler sched(BatchPolicy::kSequential);
-  sched.add_launch(shape_of(4, 2));
-  sched.add_launch(shape_of(3, 1));
-  BatchSchedule s = sched.schedule();
+  for (const auto& [n_warps, grid] : shapes)
+    sched.add_launch(shape_of(n_warps, grid));
+  const BatchSchedule s = sched.schedule();
   EXPECT_EQ(s.residency, 3u);
-  EXPECT_EQ(s.total_chunks, 7u);
+  EXPECT_EQ(s.total_chunks, order.size());
   EXPECT_EQ(s.rounds, 5u);  // 2 + 3 residency refills
-  ASSERT_EQ(s.order.size(), 7u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(s.order[i].launch, 0u);
-  for (std::size_t i = 4; i < 7; ++i) EXPECT_EQ(s.order[i].launch, 1u);
+  EXPECT_EQ(s.switches, switches_of(order));
   EXPECT_EQ(s.switches, 1u);  // one boundary crossing
+
+  const std::vector<std::pair<std::size_t, std::size_t>> wide{
+      {5, 2}, {1, 4}, {9, 3}, {2, 1}, {7, 7}};
+  BatchScheduler wide_sched(BatchPolicy::kSequential);
+  for (const auto& [n_warps, grid] : wide)
+    wide_sched.add_launch(shape_of(n_warps, grid));
+  const std::vector<std::size_t> wide_order =
+      interleave(wide, BatchPolicy::kSequential);
+  EXPECT_EQ(wide_sched.schedule().total_chunks, wide_order.size());
+  EXPECT_EQ(wide_sched.schedule().switches, switches_of(wide_order));
 }
 
 // ---------------------------------------------------------------------
@@ -291,7 +368,10 @@ TEST(LaunchGeometry, RejectsWarpSizeOutsideOneToThirtyTwo) {
           << e.what();
     }
   };
-  for (const Variant v : {Variant::kAutoNolockstep, Variant::kAutoLockstep}) {
+  // auto_select packs its sampled traversals into warps to price them, so
+  // it must reject the device before that, too.
+  for (const Variant v : {Variant::kAutoNolockstep, Variant::kAutoLockstep,
+                          Variant::kAutoSelect}) {
     const GpuMode mode = GpuMode::from(v);
     for (const int ws : {0, 33, 64}) {
       SCOPED_TRACE(std::string(variant_name(v)) + " warp_size " +

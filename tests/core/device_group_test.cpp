@@ -7,6 +7,7 @@
 // device's pipelined busy time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -237,6 +238,7 @@ void expect_same_stats(const KernelStats& a, const KernelStats& b) {
 void expect_same_time(const TimeBreakdown& a, const TimeBreakdown& b) {
   EXPECT_EQ(a.compute_ms, b.compute_ms);
   EXPECT_EQ(a.memory_ms, b.memory_ms);
+  EXPECT_EQ(a.select_ms, b.select_ms);
   EXPECT_EQ(a.total_ms, b.total_ms);
   EXPECT_EQ(a.memory_bound, b.memory_bound);
   EXPECT_EQ(a.imbalance, b.imbalance);
@@ -291,14 +293,24 @@ TEST(SamplingCharge, SameOnEveryLaunchPath) {
     expect_same_stats(sharded.merged.stats, solo.stats);
 
     // The group samples once: exactly one device carries the whole
-    // charge in its select bucket, and the others carry none.
+    // charge in its select bucket and pays the solo run's prologue on its
+    // clock, and the others carry none.
     double select_sum = 0;
     std::size_t paying = 0;
     for (const DeviceShard& d : sharded.devices) {
       const double c = d.stats.bucket_cycles(CycleBucket::kSelect);
       select_sum += c;
-      if (c != 0) ++paying;
+      if (c != 0) {
+        ++paying;
+        EXPECT_EQ(d.time.select_ms, solo.time.select_ms);
+        EXPECT_EQ(d.time.total_ms,
+                  d.time.select_ms +
+                      std::max(d.time.compute_ms, d.time.memory_ms));
+      } else {
+        EXPECT_EQ(d.time.select_ms, 0.0);
+      }
     }
+    EXPECT_GT(solo.time.select_ms, 0.0);
     EXPECT_EQ(select_sum, solo.selection->sampling_cycles);
     EXPECT_EQ(paying, 1u);
   }

@@ -85,6 +85,7 @@ TEST(Profiler, TinyInputTreatedAsSorted) {
   ProfileReport r = profile_similarity(k, 8, 1);
   EXPECT_TRUE(r.looks_sorted);
   EXPECT_EQ(r.sampled_visits, 0u);  // nothing sampled => nothing charged
+  EXPECT_TRUE(r.traversal_visits.empty());
 }
 
 // Guided kernels (kNumCallSets > 1) route record_traversal through
@@ -161,6 +162,17 @@ TEST(Profiler, SampledVisitsGrowWithSamples) {
   // Every sampled traversal visits at least the root, twice per pair.
   EXPECT_GE(few.sampled_visits, 2u * few.samples);
   EXPECT_GT(many.sampled_visits, few.sampled_visits);
+  // One lane per sampled traversal, pair s on lanes 2s and 2s+1; the lanes
+  // account for every sampled visit.
+  for (const ProfileReport* r : {&few, &many}) {
+    ASSERT_EQ(r->traversal_visits.size(), 2 * r->samples);
+    std::uint64_t sum = 0;
+    for (std::uint32_t v : r->traversal_visits) {
+      EXPECT_GE(v, 1u);
+      sum += v;
+    }
+    EXPECT_EQ(sum, r->sampled_visits);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,13 @@
 //     per variant with ok, stats and time. An ok auto_select carries its
 //     "selection" block and names an autoropes composition; an ok
 //     stackless variant shows zero stack footprint.
+//   time (every variant row, and fusion's fused/sequential times) --
+//     memory_bound == (memory_ms > compute_ms), and total_ms == select_ms
+//     + max(compute_ms, memory_ms): the auto_select sampler is a serial
+//     prologue. A sum over several launches (BH's timesteps, fusion's
+//     sequential pair) only bounds its total from below. select_ms is
+//     nonzero only on an ok auto_select row, where (one launch) it equals
+//     selection.sampling_cycles / (device.clock_ghz * 1e6).
 //   profile (--profile, on a variant) -- the cycle buckets sum to
 //     instr_cycles exactly and the depth histogram accounts for every warp
 //     step and active lane.
@@ -196,6 +203,37 @@ int check_selection(const std::string& at, const JsonValue& vr) {
       chosen != tt::variant_name(tt::Variant::kAutoNolockstep))
     return fail(at + ".selection: chosen is \"" + chosen +
                 "\", expected an autoropes composition");
+  return 0;
+}
+
+// A "time" block (simt/cost_model.h TimeBreakdown). One launch's total is
+// its select prologue plus the slower of compute and memory, exactly --
+// the report carries the doubles the cost model computed. A block summed
+// over several launches adds each launch's max, which is at least the max
+// of the sums; its >= allows the last-bit rounding of adding the same
+// terms in another order. select_ms may be nonzero only where
+// `may_select` (an ok auto_select launch).
+int check_time(const std::string& at, const JsonValue& t, bool summed,
+               bool may_select) {
+  if (!t.is_object()) return fail(at + ": not an object");
+  for (const char* field :
+       {"compute_ms", "memory_ms", "select_ms", "total_ms", "memory_bound"})
+    if (!t.find(field)) return fail(at + ": missing \"" + field + "\"");
+  const double compute = t.find("compute_ms")->as_number();
+  const double memory = t.find("memory_ms")->as_number();
+  const double select = t.find("select_ms")->as_number();
+  const double total = t.find("total_ms")->as_number();
+  if (t.find("memory_bound")->as_bool() != (memory > compute))
+    return fail(at + ": memory_bound disagrees with memory_ms > compute_ms");
+  if (select != 0 && !may_select)
+    return fail(at + ": select_ms " + tt::obs::json_number(select) +
+                " outside an ok auto_select launch");
+  const double want = select + std::max(compute, memory);
+  if (summed ? total < want * (1 - 1e-12) : total != want)
+    return fail(at + ": total_ms " + tt::obs::json_number(total) +
+                (summed ? " is below" : " is not") +
+                " select_ms + max(compute_ms, memory_ms) = " +
+                tt::obs::json_number(want));
   return 0;
 }
 
@@ -661,8 +699,9 @@ int check_devices(const JsonValue& devices) {
 // The optional fusion block: per pair x variant, an ok row must be
 // byte_identical to its sequential baseline, the fused walk's visit count
 // is re-derived to be bounded by the constituents' sum (the union can
-// never exceed it), and the reported visit / mem_stall savings must be
-// non-negative and <= the sequential totals they were carved from.
+// never exceed it), the reported visit savings must be non-negative, and
+// the fused and sequential (two-launch sum) time blocks must hold the
+// check_time invariant.
 int check_fusion(const JsonValue& fusion) {
   if (!fusion.is_object()) return fail("\"fusion\" is not an object");
   const JsonValue* pairs = fusion.find("pairs");
@@ -717,6 +756,12 @@ int check_fusion(const JsonValue& fusion) {
       // transactions for more L2-hit stalls on an individual row.
       if (r.find("visit_cycles_saved")->as_number() < 0)
         return fail(vat + ": negative visit_cycles_saved");
+      if (int rc = check_time(vat + ".fused_time", *r.find("fused_time"),
+                              false, false))
+        return rc;
+      if (int rc = check_time(vat + ".sequential_time",
+                              *r.find("sequential_time"), true, false))
+        return rc;
     }
     if (ok_rows == 0)
       return fail(at + ": no ok variant rows (nothing was measured)");
@@ -757,6 +802,8 @@ int main(int argc, char** argv) {
     if (!tables || !tables->is_array())
       return fail("missing \"tables\" array");
 
+    const JsonValue* device = root->find("device");
+    const JsonValue* clock_ghz = device ? device->find("clock_ghz") : nullptr;
     for (std::size_t i = 0; i < rows->arr_v.size(); ++i) {
       const JsonValue& row = *rows->arr_v[i];
       const std::string at = "rows[" + std::to_string(i) + "]";
@@ -764,6 +811,11 @@ int main(int argc, char** argv) {
       const JsonValue* variants = row.find("variants");
       if (!variants || !variants->is_object())
         return fail(at + ": missing \"variants\" object");
+      // BH rows sum one launch per timestep.
+      const JsonValue* transfer = row.find("transfer");
+      const JsonValue* launches =
+          transfer ? transfer->find("launches") : nullptr;
+      const bool summed = launches && launches->as_uint() > 1;
       for (tt::Variant v : tt::kAllVariants) {
         const JsonValue* vr = variants->find(tt::variant_name(v));
         if (!vr) return fail(at + ": missing variant " + tt::variant_name(v));
@@ -772,8 +824,24 @@ int main(int argc, char** argv) {
           if (!vr->find(field))
             return fail(vat + ": missing \"" + field + "\"");
         const bool ok = vr->find("ok")->as_bool();
-        if (v == tt::Variant::kAutoSelect && ok)
+        const bool selected = v == tt::Variant::kAutoSelect && ok;
+        if (selected)
           if (int rc = check_selection(vat, *vr); rc != 0) return rc;
+        const JsonValue& time = *vr->find("time");
+        if (int rc = check_time(vat + ".time", time, summed, selected))
+          return rc;
+        if (selected && !summed) {
+          if (!clock_ghz)
+            return fail(vat + ": auto_select row in a report without "
+                        "\"device\".clock_ghz");
+          const double sampling_ms =
+              vr->find("selection")->find("sampling_cycles")->as_number() /
+              (clock_ghz->as_number() * 1e6);
+          if (time.find("select_ms")->as_number() != sampling_ms)
+            return fail(vat + ".time: select_ms is not "
+                        "selection.sampling_cycles / (device.clock_ghz * "
+                        "1e6) = " + tt::obs::json_number(sampling_ms));
+        }
         // A variant with no stack state can have no stack footprint: zero
         // peak depth and (when profiled) an empty stack bucket.
         if (tt::variant_is_stackless(v) && ok) {
