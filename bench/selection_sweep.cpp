@@ -1,31 +1,23 @@
-// Threshold / sample-count sweep of the section-4.4 auto_select sampler.
+// Per-cell regret of the section-4.4 auto_select selector.
 //
-// For every benchmark x {morton, tree, shuffled} point order, the ground
-// truth is whichever autoropes composition the cost model says is faster
-// for that cell. The sweep then asks, for each (samples, threshold)
-// operating point: how often does the sampler's dispatch disagree with
-// that ground truth (mis-selection rate), and how much modelled time does
-// the sampling itself add (overhead)? The overhead is the Delta in
-// modelled ms an auto_select launch pays over its dispatched composition:
-// the sampling launch's serial prologue (select_ms, priced by
-// sampling_launch_cycles in core/launch.h -- the charge every launch path
-// applies), reported in ms and relative to the faster composition's
-// total_ms. Thresholds apply to the similarity *lift* (adjacent-pair mean
-// minus random-pair baseline; see core/profiler.h for why raw similarity
-// is not comparable across kernels).
-//
-// The HeuristicFloor column counts cells where even a *perfect* sorted
-// detector would disagree with the oracle: sortedness does not fully
-// determine the modelled winner (lockstep can win on shuffled inputs when
-// work expansion stays low, and vice versa). The sampler's own error is
-// Misselects - HeuristicFloor; at the default operating point (32
-// samples, lift threshold 0.15) it should be zero, and the sweep shows
-// how far samples/threshold can move before that degrades.
+// For every benchmark x {morton, tree, shuffled} point order, one launch
+// pool runs every eligible concrete variant and auto_select, sampled at
+// --profile-samples / --profile-seed (isolated per-launch measurements,
+// byte-identical to solo runs). Each row shows the composition the
+// selector chose and its two predictions (selection.predicted_*_ms,
+// core/launch.h price_compositions) next to what the two autoropes
+// compositions actually cost, and two regrets:
+//   Regret(L,N)  the chosen composition's total_ms over min(L, N): the
+//                decision's own quality, 1.000 when it picked the faster;
+//   Regret(best) auto_select's total_ms, sampling prologue included, over
+//                the fastest concrete variant's (Best).
+// Select(ms) is that prologue (select_ms). The summary table counts the
+// cells whose Regret(L,N) exceeds 1.10.
 //
 // Kernels come from core's KernelFactory (name-keyed; builders registered
-// by register_bench_kernels) and run through the type-erased batch API,
+// by register_bench_kernels) and run through the type-erased launch pool,
 // so the sweep has no per-algo construction switch of its own.
-#include <array>
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -34,23 +26,12 @@
 #include "bench_common.h"
 #include "core/kernel_factory.h"
 #include "core/launch.h"
-#include "core/profiler.h"
 #include "core/serving.h"
 #include "util/csv.h"
 
 using namespace tt;
 
 namespace {
-
-struct Cell {
-  std::string name;            // "pc/covtype/morton"
-  double mean_similarity = 0;  // per sample count, filled in the sweep
-  double baseline_similarity = 0;
-  double select_ms = 0;  // the sampling launch's modelled prologue
-  bool order_is_sorted = false;  // cell built with a spatial sort?
-  bool best_is_lockstep = false;
-  double best_ms = 0;  // modelled total_ms of the faster composition
-};
 
 PointOrder kOrders[] = {PointOrder::kMorton, PointOrder::kTree,
                         PointOrder::kShuffled};
@@ -59,23 +40,23 @@ PointOrder kOrders[] = {PointOrder::kMorton, PointOrder::kTree,
 
 int main(int argc, char** argv) {
   Cli cli(
-      "selection_sweep: mis-selection rate and sampling overhead of the "
-      "section-4.4 auto_select sampler across thresholds and sample "
-      "counts, benchmarks x {morton, tree, shuffled} orders");
+      "selection_sweep: per-cell regret of the section-4.4 auto_select "
+      "selector (predicted vs actual lockstep / non-lockstep time), "
+      "benchmarks x {morton, tree, shuffled} orders");
   benchx::add_common_flags(cli);
   return benchx::run_main(cli, argc, argv, "selection_sweep", [&]() -> int {
     register_bench_kernels();
-    const std::uint64_t profile_seed =
-        static_cast<std::uint64_t>(cli.get_int("profile-seed"));
-    const std::vector<std::size_t> sample_counts{2, 4, 8, 16, 32, 64};
-    const std::vector<double> thresholds{0.05, 0.10, 0.15, 0.20, 0.25,
-                                         0.30, 0.35, 0.40, 0.45};
     const DeviceConfig dev;
+    GpuMode auto_mode = GpuMode::from(Variant::kAutoSelect);
+    auto_mode.profile_samples = benchx::profile_samples(cli);
+    auto_mode.profile_seed =
+        static_cast<std::uint64_t>(cli.get_int("profile-seed"));
 
-    // Per (cell, sample count): the measured mean similarity and sampling
-    // charge. Thresholding is then arithmetic, so one profile run per
-    // sample count covers the whole threshold axis.
-    std::vector<std::vector<Cell>> by_samples(sample_counts.size());
+    Table table({"Cell", "Chosen", "PredL(ms)", "PredN(ms)", "L(ms)", "N(ms)",
+                 "Regret(L,N)", "Best", "Best(ms)", "Regret(best)",
+                 "Select(ms)"});
+    std::size_t cells = 0, over = 0;
+    double max_regret = 0, best_regret_sum = 0, select_sum = 0;
     for (Algo a : benchx::parse_algos(cli.get_string("benchmarks"))) {
       for (PointOrder order : kOrders) {
         if (a == Algo::kBH && order == PointOrder::kTree)
@@ -100,69 +81,71 @@ int main(int argc, char** argv) {
         GpuAddressSpace space;
         auto handle =
             KernelFactory::instance().make(kernel_name(a), req, space);
-        // Both autoropes compositions as one batch (isolated per-launch
-        // measurements; byte-identical to solo runs by construction).
-        std::array<LaunchSpec, 2> specs{
-            LaunchSpec{handle, &space, GpuMode::from(Variant::kAutoLockstep)},
-            LaunchSpec{handle, &space,
-                       GpuMode::from(Variant::kAutoNolockstep)}};
-        const LaunchPool run = run_launch_pool(specs, dev);
-        const LaunchResult& lock = run.launches[0];
-        const LaunchResult& nolock = run.launches[1];
-        const bool best_lockstep = lock.time.total_ms <= nolock.time.total_ms;
-        for (std::size_t si = 0; si < sample_counts.size(); ++si) {
-          ProfileReport p = handle->profile(sample_counts[si], profile_seed);
-          Cell c;
-          c.name = std::string(kernel_name(a)) + "/" + input + "/" +
-                   point_order_name(order);
-          c.mean_similarity = p.mean_similarity;
-          c.baseline_similarity = p.baseline_similarity;
-          c.select_ms = sampling_launch_cycles(p, dev) / (dev.clock_ghz * 1e6);
-          c.order_is_sorted = order != PointOrder::kShuffled;
-          c.best_is_lockstep = best_lockstep;
-          c.best_ms = best_lockstep ? lock.time.total_ms : nolock.time.total_ms;
-          by_samples[si].push_back(c);
+        std::vector<LaunchSpec> specs;
+        for (Variant v : kAllVariants) {
+          if (!handle->variant_ineligible_reason(v).empty()) continue;
+          specs.push_back(LaunchSpec{
+              handle, &space,
+              v == Variant::kAutoSelect ? auto_mode : GpuMode::from(v)});
         }
-        std::cerr << "# profiled " << kernel_name(a) << "/"
+        const LaunchPool pool = run_launch_pool(specs, dev);
+        const LaunchResult* sel = nullptr;
+        const LaunchResult* lock = nullptr;
+        const LaunchResult* nolock = nullptr;
+        const LaunchResult* best = nullptr;
+        for (const LaunchResult& r : pool.launches) {
+          if (!r.ok())
+            throw std::runtime_error(r.error);
+          if (r.selection) {
+            sel = &r;
+            continue;
+          }
+          if (r.variant == Variant::kAutoLockstep) lock = &r;
+          if (r.variant == Variant::kAutoNolockstep) nolock = &r;
+          if (!best || r.time.total_ms < best->time.total_ms) best = &r;
+        }
+        const SelectionInfo& s = *sel->selection;
+        const double oracle = std::min(lock->time.total_ms,
+                                       nolock->time.total_ms);
+        const double chosen = s.chosen == Variant::kAutoLockstep
+                                  ? lock->time.total_ms
+                                  : nolock->time.total_ms;
+        const double regret = chosen / oracle;
+        const double best_regret = sel->time.total_ms / best->time.total_ms;
+        ++cells;
+        if (regret > 1.10) ++over;
+        max_regret = std::max(max_regret, regret);
+        best_regret_sum += best_regret;
+        select_sum += sel->time.select_ms;
+        table.add_row({std::string(kernel_name(a)) + "/" + input + "/" +
+                           point_order_name(order),
+                       s.chosen == Variant::kAutoLockstep ? "L" : "N",
+                       fmt_fixed(s.predicted_lockstep_ms, 4),
+                       fmt_fixed(s.predicted_nolockstep_ms, 4),
+                       fmt_fixed(lock->time.total_ms, 4),
+                       fmt_fixed(nolock->time.total_ms, 4),
+                       fmt_fixed(regret, 3), variant_name(best->variant),
+                       fmt_fixed(best->time.total_ms, 4),
+                       fmt_fixed(best_regret, 3),
+                       fmt_fixed(sel->time.select_ms, 4)});
+        std::cerr << "# ran " << kernel_name(a) << "/"
                   << point_order_name(order) << "\n";
       }
     }
 
-    Table table({"Samples", "Threshold", "MisselectRate", "Misselects",
-                 "HeuristicFloor", "Cells", "MeanSelect(ms)", "MeanOverhead%",
-                 "MaxOverhead%"});
-    for (std::size_t si = 0; si < sample_counts.size(); ++si) {
-      const std::vector<Cell>& cells = by_samples[si];
-      if (cells.empty()) continue;
-      for (double threshold : thresholds) {
-        std::size_t miss = 0, floor = 0;
-        double select_sum = 0, overhead_sum = 0, overhead_max = 0;
-        for (const Cell& c : cells) {
-          const bool picks_lockstep =
-              c.mean_similarity - c.baseline_similarity >= threshold;
-          if (picks_lockstep != c.best_is_lockstep) ++miss;
-          if (c.order_is_sorted != c.best_is_lockstep) ++floor;
-          const double overhead =
-              c.best_ms > 0 ? 100.0 * c.select_ms / c.best_ms : 0;
-          select_sum += c.select_ms;
-          overhead_sum += overhead;
-          overhead_max = std::max(overhead_max, overhead);
-        }
-        const auto n_cells = static_cast<double>(cells.size());
-        table.add_row({std::to_string(sample_counts[si]),
-                       fmt_fixed(threshold, 2),
-                       fmt_fixed(static_cast<double>(miss) / n_cells, 3),
-                       std::to_string(miss), std::to_string(floor),
-                       std::to_string(cells.size()),
-                       fmt_fixed(select_sum / n_cells, 4),
-                       fmt_fixed(overhead_sum / n_cells, 3),
-                       fmt_fixed(overhead_max, 3)});
-      }
-    }
+    Table summary({"Cells", "Over1.10", "MaxRegret(L,N)", "MeanRegret(best)",
+                   "MeanSelect(ms)"});
+    const double n_cells = cells ? static_cast<double>(cells) : 1.0;
+    summary.add_row({std::to_string(cells), std::to_string(over),
+                     fmt_fixed(max_regret, 3),
+                     fmt_fixed(best_regret_sum / n_cells, 3),
+                     fmt_fixed(select_sum / n_cells, 4)});
     benchx::emit(table, cli.get_flag("csv"));
+    benchx::emit(summary, cli.get_flag("csv"));
 
     obs::RunReport report = benchx::make_report(cli, "selection_sweep");
     report.add_table("selection_sweep", table);
+    report.add_table("selection_summary", summary);
     if (!benchx::maybe_write_report(cli, report)) return 1;
     return 0;
   });

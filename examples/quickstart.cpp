@@ -4,8 +4,8 @@
 //    analysis classify it (section 3.2.1).
 // 2. Build the tree and the traversal kernel.
 // 3. Run it on the simulated GPU as Variant::kAutoSelect: the launch
-//    samples a few adjacent traversals (section 4.4), then runs the
-//    lockstep or non-lockstep autoropes composition.
+//    samples a few of its warps (section 4.4), prices the lockstep and
+//    non-lockstep autoropes compositions from them and runs the cheaper.
 // 4. Cross-check against the plain recursive CPU run.
 //
 // Build & run:  ./examples/quickstart
@@ -43,8 +43,8 @@ int main() {
   GpuRun<PointCorrelationKernel> gpu = run_gpu_sim(
       kernel, space, DeviceConfig{}, GpuMode::from(Variant::kAutoSelect));
   const SelectionInfo& sel = *gpu.selection;
-  std::printf("sampled similarity %.2f vs %.2f for random pairs -> %s\n",
-              sel.mean_similarity, sel.baseline_similarity,
+  std::printf("predicted lockstep %.3f ms vs non-lockstep %.3f ms -> %s\n",
+              sel.predicted_lockstep_ms, sel.predicted_nolockstep_ms,
               variant_name(sel.chosen));
   std::printf("GPU(sim): %.3f ms modelled, %.0f nodes/point avg, "
               "%llu DRAM transactions\n",

@@ -60,6 +60,9 @@ for row in report["rows"]:
         if "selection" in v:
             entry["selection"] = {
                 "chosen": v["selection"]["chosen"],
+                "predicted_lockstep_ms": v["selection"]["predicted_lockstep_ms"],
+                "predicted_nolockstep_ms":
+                    v["selection"]["predicted_nolockstep_ms"],
                 "mean_similarity": v["selection"]["mean_similarity"],
                 "baseline_similarity": v["selection"]["baseline_similarity"],
                 "sampling_cycles": v["selection"]["sampling_cycles"],

@@ -249,7 +249,8 @@ void accumulate(BenchRow& row, const BenchRow& step, int steps_so_far) {
         a.selection = b.selection;
       } else {
         // Samples and charged cycles add across timesteps; similarity
-        // stays a per-sample mean; `chosen` keeps the first dispatch.
+        // stays a per-sample mean; `chosen` and the predicted times keep
+        // the first dispatch.
         const std::uint64_t total = a.selection->samples + b.selection->samples;
         if (total > 0) {
           const double wa = static_cast<double>(a.selection->samples);

@@ -102,7 +102,7 @@ struct VariantResult {
   // auto_select only: the launch-time decision record (exported as the
   // "selection" block of the RunReport JSON). BH accumulates it across
   // timesteps: samples and sampling_cycles sum, similarity averages, and
-  // `chosen` keeps the first timestep's dispatch.
+  // `chosen` and the predicted times keep the first timestep's dispatch.
   std::optional<SelectionInfo> selection;
   // Set when BenchConfig::profile was on: the variant's cycle-attribution
   // profile (obs/profile.h). BH merges it across timesteps, so the

@@ -169,9 +169,7 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
     // would get.
     const std::size_t grid = std::min(run->shape.grid, warps.size());
     sh.rounds = (warps.size() + grid - 1) / grid;
-    const std::size_t resident = std::min<std::size_t>(
-        grid, static_cast<std::size_t>(cfg.device.max_resident_warps()));
-    const std::size_t slice_bytes = cfg.device.l2_bytes / resident;
+    const std::size_t slice_bytes = l2_slice_bytes(cfg.device, grid);
 
     std::vector<KernelStats> per_slot(grid);
     std::span<const std::uint32_t> warp_span(warps);

@@ -9,8 +9,9 @@
 //   auto_lockstep    WarpStack       WarpAndTruncation
 //   rec_nolockstep   CallFrames      MaxDepthCallReconvergence
 //   rec_lockstep     CallFrames      WarpAndTruncation
-//   auto_select      (sample similarity, dispatch to auto_lockstep or
-//                     auto_nolockstep; sampling charged to the cost model)
+//   auto_select      (sample warps, price auto_lockstep and
+//                     auto_nolockstep, dispatch the cheaper; sampling
+//                     charged to the cost model)
 //   stackless_lockstep    StacklessRope  WarpAndTruncation (shared cursor)
 //   stackless_nolockstep  StacklessRope  LoopHeadReconvergence
 //   index_walk            IndexWalk      LoopHeadReconvergence
@@ -106,14 +107,16 @@ GpuRun<K> run_gpu_sim(const K& k, GpuAddressSpace& space,
                       obs::ProfileSink* profile = nullptr) {
   GpuRun<K> out;
   if (mode.auto_select) {
-    // Section 4.4: sample a few adjacent traversal pairs, then dispatch
-    // this launch to the lockstep or non-lockstep autoropes composition.
+    // Section 4.4: sample a few of the launch's warps, price both
+    // autoropes compositions from them and dispatch the cheaper one.
     if (mode.profile_samples == 0)
       throw std::invalid_argument(
           "run_gpu_sim: auto_select needs profile_samples >= 1");
     const ResolvedLaunch r = resolve_auto_select(
-        mode, profile_similarity(k, mode.profile_samples, mode.profile_seed),
-        cfg);
+        mode,
+        profile_similarity(k, mode.profile_samples, mode.profile_seed, cfg,
+                           &space),
+        k.num_points(), cfg);
     mode = r.mode;
     out.selection = r.selection;
   }

@@ -13,13 +13,14 @@
 //     stack-arena sizing and addressing, and the StackPolicy x
 //     ConvergencePolicy composition table.
 //
-//   sampling_launch_cycles / resolve_auto_select / charge_sampling /
-//   finish_launch
+//   sampling_launch_cycles / price_compositions / resolve_auto_select /
+//   charge_sampling / finish_launch
 //     The section-4.4 decision taken before a launch (sampler report ->
-//     resolved GpuMode + SelectionInfo), the sampler's cost (its sampling
-//     launch, charged as a serial prologue), and the epilogue every launch
-//     shares: merge the per-slot counters, run the cost model, charge the
-//     sampler, build the profile.
+//     both compositions' predicted time -> resolved GpuMode +
+//     SelectionInfo), the sampler's cost (its sampling launch, charged as a
+//     serial prologue), and the epilogue every launch shares: merge the
+//     per-slot counters, run the cost model, charge the sampler, build the
+//     profile.
 //
 //   LaunchRun / TypedLaunchRun<K>
 //     One launch's execution state: the only place that sizes the stack
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -90,6 +92,14 @@ struct LaunchGeometry {
   std::uint64_t per_warp_span = 0; // stack-arena bytes per physical warp
 };
 
+// Figure 9b's strip-mined grid loop: with a finite grid, physical warp p
+// processes chunks p, p + grid, p + 2*grid, ... and keeps its L2 slice
+// (and stack arena) across chunks. Uniform across all compositions.
+[[nodiscard]] inline std::size_t launch_grid(const GpuMode& mode,
+                                             std::size_t n_warps) {
+  return mode.grid_limit > 0 ? std::min(mode.grid_limit, n_warps) : n_warps;
+}
+
 // Every launch path sizes its launch here, before any slot fans out, so
 // a device the memory front end cannot model is rejected here rather than
 // inside the OpenMP slot loop.
@@ -102,21 +112,9 @@ template <TraversalKernel K>
   s.n_warps = (s.n + static_cast<std::size_t>(cfg.warp_size) - 1) /
               static_cast<std::size_t>(cfg.warp_size);
   s.stack_bound = k.stack_bound();
-  s.entry_bytes =
-      std::max<std::uint32_t>(4, stack_entry_bytes<K>(mode.lockstep));
-  // One interleaved stack (or local-memory frame arena) region per warp,
-  // plus room for the warp-level entries of the global-lockstep ablation.
-  s.per_warp_span =
-      static_cast<std::uint64_t>(s.stack_bound + 4) *
-      (static_cast<std::uint64_t>(cfg.warp_size) *
-           std::max<std::uint32_t>(
-               s.entry_bytes, static_cast<std::uint32_t>(cfg.frame_bytes)) +
-       12);
-  // Figure 9b's strip-mined grid loop: with a finite grid, physical warp p
-  // processes chunks p, p + grid, p + 2*grid, ... and keeps its L2 slice
-  // (and stack arena) across chunks. Uniform across all compositions.
-  s.grid = mode.grid_limit > 0 ? std::min(mode.grid_limit, s.n_warps)
-                               : s.n_warps;
+  s.entry_bytes = arena_entry_bytes<K>(mode.lockstep);
+  s.per_warp_span = warp_arena_span(s.stack_bound, s.entry_bytes, cfg);
+  s.grid = launch_grid(mode, s.n_warps);
   // The stackless family keeps no continuations at all: no arena bytes,
   // and ensure_stack_arena must not be called for these launches.
   if (mode.stackless) s.per_warp_span = 0;
@@ -262,22 +260,102 @@ struct ResolvedLaunch {
   return round_robin_sm_load(per_warp, cfg).makespan;
 }
 
-// Turn the similarity sampler's report into the launch's executed mode:
-// lockstep autoropes when adjacent traversals look sorted, non-lockstep
-// autoropes otherwise. The sampling launch's modelled cost
-// (sampling_launch_cycles) rides along in the selection. A device the
-// memory front end cannot model is rejected here, before it is priced.
+// Both autoropes compositions' predicted modelled time for a launch of
+// `n_warps` chunks on a `grid`-warp grid, priced from the sampled warps
+// with the launch's own cost model. Per sampled warp:
+//   lockstep     U x (c_step + c_visit + c_vote + 2 c_smem): one pop, visit
+//                and vote per union node plus its warp-stack pop and push,
+//                and c_vote per call-set vote of a guided kernel;
+//   non-lockstep Lmax x (c_step + c_visit): one step per visit of the
+//                longest lane, plus c_smem per rope-stack push (every
+//                visit but each lane's root);
+// and for both, c_l2hit per L2-hit transaction and DRAM for every miss,
+// found by replaying the warp's segment stream through an L2 slice of the
+// launch's own size (l2_slice_bytes). The sampled warps' mean cycles fill
+// every chunk, chunks fill the grid's slots, and the time is the launch's:
+// max(compute over round_robin_sm_load, memory) (estimate_time_balanced).
+// A finite grid keeps a slot's slice across its chunks; the replay starts
+// every sampled warp cold.
+struct CompositionPrices {
+  double lockstep_ms = 0;
+  double nolockstep_ms = 0;
+  // The decision: the cheaper composition, ties going to lockstep.
+  [[nodiscard]] bool lockstep_cheaper() const {
+    return lockstep_ms <= nolockstep_ms;
+  }
+};
+
+[[nodiscard]] inline CompositionPrices price_compositions(
+    std::span<const SampledWarp> warps, std::size_t n_warps, std::size_t grid,
+    const DeviceConfig& cfg) {
+  CompositionPrices price;
+  if (warps.empty() || n_warps == 0) return price;
+  L2Cache slice(l2_slice_bytes(cfg, grid), cfg.l2_line_bytes, cfg.l2_assoc);
+  // One stream through a cold slice: stall cycles of its hits, its misses.
+  auto replay = [&](const std::vector<std::uint64_t>& segments,
+                    double& stall, double& misses) {
+    slice.clear();
+    for (const std::uint64_t seg : segments) {
+      if (cfg.model_l2 && slice.access(seg))
+        stall += cfg.c_l2hit;
+      else
+        misses += 1;
+    }
+  };
+  double lock_cycles = 0, lock_dram = 0, nolock_cycles = 0, nolock_dram = 0;
+  for (const SampledWarp& w : warps) {
+    lock_cycles += static_cast<double>(w.union_visits) *
+                       (cfg.c_step + cfg.c_visit + cfg.c_vote +
+                        2 * cfg.c_smem) +
+                   static_cast<double>(w.callset_votes) * cfg.c_vote;
+    replay(w.lockstep_segments, lock_cycles, lock_dram);
+    nolock_cycles +=
+        static_cast<double>(w.longest) * (cfg.c_step + cfg.c_visit) +
+        static_cast<double>(w.lane_visits - w.lanes) * cfg.c_smem;
+    replay(w.nolockstep_segments, nolock_cycles, nolock_dram);
+  }
+  const auto sampled = static_cast<double>(warps.size());
+  auto launch_ms = [&](double cycles, double dram) {
+    std::vector<double> slot_cycles(grid);
+    for (std::size_t p = 0; p < grid; ++p)
+      slot_cycles[p] =
+          static_cast<double>((n_warps - p + grid - 1) / grid) * cycles /
+          sampled;
+    KernelStats traffic;
+    traffic.dram_bytes =
+        static_cast<std::uint64_t>(std::llround(
+            dram / sampled * static_cast<double>(n_warps))) *
+        static_cast<std::uint64_t>(cfg.transaction_bytes);
+    return estimate_time_balanced(slot_cycles, traffic, cfg).total_ms;
+  };
+  price.lockstep_ms = launch_ms(lock_cycles, lock_dram);
+  price.nolockstep_ms = launch_ms(nolock_cycles, nolock_dram);
+  return price;
+}
+
+// Turn the sampler's report into the launch's executed mode: the
+// autoropes composition price_compositions predicts is cheaper for a
+// launch of `n_points` points. Both predictions and the sampling launch's
+// modelled cost (sampling_launch_cycles) ride along in the selection. A
+// device the memory front end cannot model is rejected here, before it is
+// priced.
 [[nodiscard]] inline ResolvedLaunch resolve_auto_select(
-    GpuMode mode, const ProfileReport& p, const DeviceConfig& cfg) {
+    GpuMode mode, const ProfileReport& p, std::size_t n_points,
+    const DeviceConfig& cfg) {
   WarpMemory::check_device(cfg);
+  const auto ws = static_cast<std::size_t>(cfg.warp_size);
+  const std::size_t n_warps = (n_points + ws - 1) / ws;
+  const CompositionPrices price =
+      price_compositions(p.warps, n_warps, launch_grid(mode, n_warps), cfg);
   mode.auto_select = false;
   mode.autoropes = true;
-  mode.lockstep = p.looks_sorted;
+  mode.lockstep = price.lockstep_cheaper();
   SelectionInfo sel;
   sel.mean_similarity = p.mean_similarity;
   sel.baseline_similarity = p.baseline_similarity;
   sel.samples = p.samples;
-  sel.threshold = p.threshold;
+  sel.predicted_lockstep_ms = price.lockstep_ms;
+  sel.predicted_nolockstep_ms = price.nolockstep_ms;
   sel.chosen = mode.variant();
   sel.sampling_cycles = sampling_launch_cycles(p, cfg);
   return {mode, sel};
@@ -390,9 +468,17 @@ class KernelHandle {
   [[nodiscard]] virtual std::string variant_ineligible_reason(
       Variant v) const = 0;
 
-  // The section-4.4 similarity sampler (auto_select resolution).
-  [[nodiscard]] virtual ProfileReport profile(std::size_t samples,
-                                              std::uint64_t seed) const = 0;
+  // The section-4.4 sampler (auto_select resolution) for a launch on
+  // `cfg`; `space`, the address space holding the kernel's buffers, adds
+  // the sampled warps' segment streams (profile_similarity).
+  [[nodiscard]] virtual ProfileReport profile(
+      std::size_t samples, std::uint64_t seed, const DeviceConfig& cfg,
+      const GpuAddressSpace* space) const = 0;
+  // The sampler's traversals and similarity alone, on the default device.
+  [[nodiscard]] ProfileReport profile(std::size_t samples,
+                                      std::uint64_t seed) const {
+    return profile(samples, seed, DeviceConfig{}, nullptr);
+  }
 
   // Build the launch's TypedLaunchRun: size it, reserve its scratch
   // buffers in `space` (the same buffer names and addresses run_gpu_sim
@@ -550,9 +636,11 @@ class TypedKernelHandle final : public KernelHandle {
     return kernel_variant_ineligible_reason(*k_, v);
   }
 
-  [[nodiscard]] ProfileReport profile(std::size_t samples,
-                                      std::uint64_t seed) const override {
-    return profile_similarity(*k_, samples, seed);
+  using KernelHandle::profile;
+  [[nodiscard]] ProfileReport profile(
+      std::size_t samples, std::uint64_t seed, const DeviceConfig& cfg,
+      const GpuAddressSpace* space) const override {
+    return profile_similarity(*k_, samples, seed, cfg, space);
   }
 
   [[nodiscard]] std::unique_ptr<LaunchRun> prepare(

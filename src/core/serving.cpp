@@ -48,8 +48,10 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
         throw std::invalid_argument(
             "run_launch_pool: auto_select needs profile_samples >= 1");
       const ResolvedLaunch r = resolve_auto_select(
-          mode, spec.kernel->profile(mode.profile_samples, mode.profile_seed),
-          cfg);
+          mode,
+          spec.kernel->profile(mode.profile_samples, mode.profile_seed, cfg,
+                               spec.space),
+          spec.kernel->num_points(), cfg);
       mode = r.mode;
       pr.selection = r.selection;
     }
@@ -70,13 +72,9 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
                                   spec.profile,
                                   static_cast<std::uint32_t>(i));
     pr.per_slot.assign(pr.run->shape.grid, KernelStats{});
-    // The launch's own L2 slice size -- the same formula run_warps uses
-    // for a solo run over this launch's grid (byte-identity requires it).
-    const std::size_t grid = pr.run->shape.grid;
-    const std::size_t resident = std::min<std::size_t>(
-        grid == 0 ? 1 : grid,
-        static_cast<std::size_t>(cfg.max_resident_warps()));
-    pr.slice_bytes = cfg.l2_bytes / resident;
+    // The launch's own L2 slice size -- what run_warps gives a solo run
+    // over this launch's grid (byte-identity requires it).
+    pr.slice_bytes = l2_slice_bytes(cfg, pr.run->shape.grid);
     out.shapes.push_back(pr.run->shape);
   }
 

@@ -32,6 +32,7 @@
 #include "core/rope_stack.h"
 #include "core/static_ropes.h"
 #include "core/traversal_kernel.h"
+#include "simt/device_config.h"
 #include "simt/kernel_stats.h"
 
 namespace tt {
@@ -46,6 +47,26 @@ constexpr std::uint32_t stack_entry_bytes(bool lockstep) {
   if constexpr (kernel_has_lane_arg<K>)
     b += static_cast<std::uint32_t>(sizeof(typename K::LArg));
   return (b + 3u) & ~3u;
+}
+
+// The entry size a launch's stack arena is laid out with: the interleaved
+// rope-stack entry, 4 bytes at least.
+template <class K>
+constexpr std::uint32_t arena_entry_bytes(bool lockstep) {
+  return std::max<std::uint32_t>(4, stack_entry_bytes<K>(lockstep));
+}
+
+// Stack-arena bytes per physical warp: one interleaved stack (or
+// local-memory frame arena) region of stack_bound + 4 levels, plus room
+// for the warp-level entries of the global-lockstep ablation. Physical
+// warp p's region starts p spans into the arena.
+inline std::uint64_t warp_arena_span(int stack_bound, std::uint32_t entry_bytes,
+                                     const DeviceConfig& cfg) {
+  return static_cast<std::uint64_t>(stack_bound + 4) *
+         (static_cast<std::uint64_t>(cfg.warp_size) *
+              std::max<std::uint32_t>(
+                  entry_bytes, static_cast<std::uint32_t>(cfg.frame_bytes)) +
+          12);
 }
 
 // ---------------------------------------------------------------------

@@ -197,7 +197,11 @@ struct SelectionInfo {
   double mean_similarity = 0;      // mean Jaccard over adjacent sampled pairs
   double baseline_similarity = 0;  // mean Jaccard over random pairs
   std::uint64_t samples = 0;       // sampled (pid, pid+1) traversal pairs
-  double threshold = 0;  // sorted-detection cutoff on the similarity lift
+  // Each autoropes composition's predicted modelled time for the launch
+  // (core/launch.h price_compositions); `chosen` is the cheaper one, ties
+  // going to lockstep.
+  double predicted_lockstep_ms = 0;
+  double predicted_nolockstep_ms = 0;
   Variant chosen = Variant::kAutoNolockstep;  // dispatched composition
   // The sampling launch's modelled cost (core/launch.h
   // sampling_launch_cycles: its busiest SM's cycles), charged as a serial
@@ -223,11 +227,12 @@ struct GpuMode {
   // per warp (the default model); otherwise the physical warp count.
   std::size_t grid_limit = 0;
 
-  // Section 4.4 adaptive selection: when set, run_gpu_sim samples
-  // `profile_samples` adjacent traversal pairs with a deterministic
+  // Section 4.4 adaptive selection: when set, every launch path samples
+  // `profile_samples` adjacent traversal pairs (2 x profile_samples lanes
+  // in warp-aligned runs, core/profiler.h) with a deterministic
   // `profile_seed`, charges the sampling to the cost model, and dispatches
-  // to the lockstep or non-lockstep autoropes composition. The `lockstep`
-  // flag above is then decided at launch, not here.
+  // to whichever autoropes composition its price predicts is cheaper. The
+  // `lockstep` flag above is then decided at launch, not here.
   bool auto_select = false;
   std::size_t profile_samples = 32;
   std::uint64_t profile_seed = 1;

@@ -112,7 +112,8 @@ void write_selection(JsonWriter& w, const SelectionInfo& s) {
   w.member("mean_similarity", s.mean_similarity);
   w.member("baseline_similarity", s.baseline_similarity);
   w.member("samples", s.samples);
-  w.member("threshold", s.threshold);
+  w.member("predicted_lockstep_ms", s.predicted_lockstep_ms);
+  w.member("predicted_nolockstep_ms", s.predicted_nolockstep_ms);
   w.member("chosen", variant_name(s.chosen));
   w.member("sampling_cycles", s.sampling_cycles);
   w.end_object();

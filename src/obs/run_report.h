@@ -32,7 +32,9 @@ namespace tt::obs {
 //     ok/error, time_ms, avg_nodes, stats and time (total_ms = select_ms
 //     + max(compute_ms, memory_ms); select_ms is the auto_select
 //     sampler's serial prologue and 0 on every other variant), the
-//     auto_select launch decision as "selection", and under --profile the
+//     auto_select launch decision as "selection" (both compositions'
+//     predicted times, the chosen one, the similarity diagnostics and the
+//     sampling launch's cycles), and under --profile the
 //     obs/profile.h cycle attribution ("profile") and the
 //     simt/memory_attr.h per-buffer traffic table ("memory"); the CPU
 //     scaling model; work_expansion; and the transfer round trip with its
@@ -51,7 +53,7 @@ namespace tt::obs {
 // tools/json_validate accepts only this tag, re-derives every block's
 // invariants, and with --golden compares two whole reports with only
 // git_sha normalized.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v12";
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v13";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents

@@ -18,17 +18,24 @@
 
 namespace tt {
 
+// Each physical warp's L2 slice in a launch of `grid` physical warps: the
+// L2 divided among the warps resident at once. Every launch path sizes its
+// slices here, and so does the auto_select pricing (core/launch.h).
+[[nodiscard]] inline std::size_t l2_slice_bytes(const DeviceConfig& cfg,
+                                                std::size_t grid) {
+  return cfg.l2_bytes /
+         std::min<std::size_t>(
+             grid == 0 ? 1 : grid,
+             static_cast<std::size_t>(cfg.max_resident_warps()));
+}
+
 // fn(warp_index, stats, l2_slice_or_null) simulates one warp. Returns the
 // per-warp stats so cost models can account for inter-warp load imbalance.
 template <class WarpFn>
 std::vector<KernelStats> run_warps(std::size_t n_warps,
                                    const DeviceConfig& cfg, WarpFn&& fn) {
   std::vector<KernelStats> per_warp(n_warps);
-
-  std::size_t resident =
-      std::min<std::size_t>(n_warps == 0 ? 1 : n_warps,
-                            static_cast<std::size_t>(cfg.max_resident_warps()));
-  std::size_t slice_bytes = cfg.l2_bytes / resident;
+  const std::size_t slice_bytes = l2_slice_bytes(cfg, n_warps);
 
 #pragma omp parallel
   {

@@ -1,13 +1,15 @@
 // Acceptance test for the section-4.4 adaptive variant: for all five
-// Table-1 benchmarks, auto_select must dispatch to lockstep on spatially
-// sorted inputs (Morton and kd-tree leaf order) and to non-lockstep on
-// shuffled inputs, reproduce the chosen composition's results
-// byte-for-byte, and report total cycles = chosen-variant cycles +
-// sampling cycles, paid as a serial prologue (total_ms = select_ms +
-// max(compute_ms, memory_ms)). Kernels come from core's KernelFactory and
-// run through the type-erased launch pool (one-launch pools are
-// byte-identical to solo runs by the batching contract), which is also
-// what pins the factory registry's name-keyed construction end to end.
+// Table-1 benchmarks, on spatially sorted inputs (Morton and kd-tree leaf
+// order) and on a shuffled one, auto_select must dispatch the composition
+// its price predicts is cheaper, and that composition must cost at most
+// 10% more than the faster of the two autoropes compositions run directly.
+// It must reproduce the chosen composition's results byte-for-byte, and
+// report total cycles = chosen-variant cycles + sampling cycles, paid as a
+// serial prologue (total_ms = select_ms + max(compute_ms, memory_ms)).
+// Kernels come from core's KernelFactory and run through the type-erased
+// launch pool (one-launch pools are byte-identical to solo runs by the
+// batching contract), which is also what pins the factory registry's
+// name-keyed construction end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,10 +38,9 @@ KernelRequest request_for() {
   return req;
 }
 
-// Sorted-input cases the selection must classify as lockstep-worthy:
-// Morton order applies to <= 3 dimensions (BH bodies; a 3-d uniform input
-// for the tree benchmarks), kd-tree leaf order to the 7-dim Table-1
-// inputs. Both spatial sorts must make adjacent traversals similar.
+// Sorted inputs: Morton order applies to <= 3 dimensions (BH bodies; a
+// 3-d uniform input for the tree benchmarks), kd-tree leaf order to the
+// 7-dim Table-1 inputs.
 std::vector<KernelRequest> sorted_requests(const std::string& name) {
   const KernelRequest base = request_for();
   if (name == std::string("bh")) {
@@ -77,28 +78,41 @@ LaunchResult run_one(const std::shared_ptr<KernelHandle>& handle,
   return std::move(run.launches.front());
 }
 
-void expect_selects(const std::shared_ptr<KernelHandle>& handle,
-                    GpuAddressSpace& space, bool want_lockstep) {
+// auto_select against both autoropes compositions run directly: it
+// dispatches the cheaper prediction, the dispatched composition costs at
+// most 10% more than the faster one, and the launch is that composition's
+// run plus the sampling prologue.
+void expect_selects_cheaper(const std::shared_ptr<KernelHandle>& handle,
+                            GpuAddressSpace& space) {
   const GpuMode mode = GpuMode::from(Variant::kAutoSelect);
   obs::TraceSink trace;
   LaunchResult g = run_one(handle, space, mode, &trace);
   ASSERT_TRUE(g.ok()) << g.error;
   ASSERT_TRUE(g.selection.has_value());
   const SelectionInfo& sel = *g.selection;
-  EXPECT_EQ(sel.chosen, want_lockstep ? Variant::kAutoLockstep
-                                      : Variant::kAutoNolockstep)
-      << "lift " << sel.mean_similarity - sel.baseline_similarity
-      << " (mean " << sel.mean_similarity << ", baseline "
-      << sel.baseline_similarity << ") vs threshold " << sel.threshold;
+  const bool lockstep =
+      sel.predicted_lockstep_ms <= sel.predicted_nolockstep_ms;
+  EXPECT_EQ(sel.chosen,
+            lockstep ? Variant::kAutoLockstep : Variant::kAutoNolockstep);
   EXPECT_EQ(sel.samples, mode.profile_samples);
-  EXPECT_EQ(sel.threshold, kSimilarityLiftThreshold);
   EXPECT_GT(sel.sampling_cycles, 0.0);
   EXPECT_EQ(g.variant, sel.chosen);
 
+  const LaunchResult lock =
+      run_one(handle, space, GpuMode::from(Variant::kAutoLockstep));
+  const LaunchResult nolock =
+      run_one(handle, space, GpuMode::from(Variant::kAutoNolockstep));
+  ASSERT_TRUE(lock.ok()) << lock.error;
+  ASSERT_TRUE(nolock.ok()) << nolock.error;
+  const LaunchResult& direct = lockstep ? lock : nolock;
+  EXPECT_LE(direct.time.total_ms,
+            1.10 * std::min(lock.time.total_ms, nolock.time.total_ms))
+      << "predicted L " << sel.predicted_lockstep_ms << " / N "
+      << sel.predicted_nolockstep_ms << " ms; measured L "
+      << lock.time.total_ms << " / N " << nolock.time.total_ms << " ms";
+
   // Byte-identical to the dispatched composition, with exactly the
   // sampling cost charged on top of its cycles.
-  LaunchResult direct = run_one(handle, space, GpuMode::from(sel.chosen));
-  ASSERT_TRUE(direct.ok()) << direct.error;
   ASSERT_EQ(g.results.size(), direct.results.size());
   EXPECT_EQ(0, std::memcmp(g.results.data(), direct.results.data(),
                            g.results.size()));
@@ -123,7 +137,7 @@ void expect_selects(const std::shared_ptr<KernelHandle>& handle,
   ASSERT_EQ(trace.launch_events().size(), 1u);
   const obs::TraceEvent& e = trace.launch_events().front();
   EXPECT_EQ(e.kind, obs::TraceEventKind::kSelect);
-  EXPECT_EQ(e.aux, want_lockstep ? 1u : 0u);
+  EXPECT_EQ(e.aux, lockstep ? 1u : 0u);
   EXPECT_EQ(e.mask, sel.samples);
   EXPECT_EQ(trace.merged().size(), trace.total_events());
   EXPECT_EQ(trace.merged().back().kind, obs::TraceEventKind::kSelect);
@@ -132,12 +146,18 @@ void expect_selects(const std::shared_ptr<KernelHandle>& handle,
 class AutoSelectAcceptance
     : public ::testing::TestWithParam<const char*> {};
 
+// The two tests keep the names of the sortedness rule's tests (lockstep on
+// sorted inputs, non-lockstep on shuffled ones), one per input family, but
+// neither hard-codes a composition: both check the price against direct
+// runs. At this scale the price picks lockstep on shuffled bh, pc and kNN
+// and non-lockstep on the 3-d Morton NN and VP inputs, and the direct
+// runs agree with each of those picks.
 TEST_P(AutoSelectAcceptance, SortedOrdersPickLockstep) {
   for (const KernelRequest& req : sorted_requests(GetParam())) {
     SCOPED_TRACE(point_order_name(req.order));
     GpuAddressSpace space;
     auto handle = KernelFactory::instance().make(GetParam(), req, space);
-    expect_selects(handle, space, true);
+    expect_selects_cheaper(handle, space);
   }
 }
 
@@ -145,7 +165,7 @@ TEST_P(AutoSelectAcceptance, ShuffledOrderPicksNonLockstep) {
   GpuAddressSpace space;
   auto handle = KernelFactory::instance().make(
       GetParam(), shuffled_request(), space);
-  expect_selects(handle, space, false);
+  expect_selects_cheaper(handle, space);
 }
 
 // The case a charge folded into compute time hid: on a memory-bound
@@ -229,6 +249,99 @@ TEST(SamplingCharge, LaunchModel) {
     EXPECT_LE(sampling_launch_cycles(*p, dev), serial(*p));
     EXPECT_LE(sampling_launch_cycles(*p, narrow), serial(*p));
   }
+}
+
+// price_compositions on hand-built sampled warps (32 lanes each). Without
+// segment streams there is no memory term, so a price is the launch's
+// compute: 64 chunks on 14 SMs put 5 warps on the busiest SM.
+SampledWarp hand_warp(std::uint64_t union_visits, std::uint32_t longest,
+                      std::uint64_t lane_visits) {
+  SampledWarp w;
+  w.lanes = 32;
+  w.union_visits = union_visits;
+  w.longest = longest;
+  w.lane_visits = lane_visits;
+  return w;
+}
+
+double busiest_sm_ms(double warp_cycles, const DeviceConfig& dev) {
+  return 5 * warp_cycles / (dev.clock_ghz * 1e6);
+}
+
+TEST(CompositionPrice, LockstepCheaperWhenLanesWalkAlike) {
+  const DeviceConfig dev;
+  // 32 lanes of 30 visits over 40 distinct nodes: 40 union pops at
+  // c_step + c_visit + c_vote + 2 c_smem = 40 cycles, against 38 steps at
+  // c_step + c_visit = 32 plus 960 - 32 pushes at c_smem = 2.
+  const SampledWarp w = hand_warp(40, 38, 32 * 30);
+  const CompositionPrices p = price_compositions(std::span(&w, 1), 64, 64, dev);
+  EXPECT_DOUBLE_EQ(p.lockstep_ms, busiest_sm_ms(40 * 40, dev));
+  EXPECT_DOUBLE_EQ(p.nolockstep_ms, busiest_sm_ms(38 * 32 + 928 * 2, dev));
+  EXPECT_TRUE(p.lockstep_cheaper());
+}
+
+TEST(CompositionPrice, NonLockstepCheaperWhenLanesDiverge) {
+  const DeviceConfig dev;
+  // Lanes of 25 visits that share little: the union traversal pops 600
+  // nodes while the longest lane takes 30 steps.
+  const SampledWarp w = hand_warp(600, 30, 32 * 25);
+  const CompositionPrices p = price_compositions(std::span(&w, 1), 64, 64, dev);
+  EXPECT_DOUBLE_EQ(p.lockstep_ms, busiest_sm_ms(600 * 40, dev));
+  EXPECT_DOUBLE_EQ(p.nolockstep_ms, busiest_sm_ms(30 * 32 + 768 * 2, dev));
+  EXPECT_FALSE(p.lockstep_cheaper());
+}
+
+// The same warp in a launch whose L2 slices hold the non-lockstep walk's
+// working set, and in one whose slices do not: its scattered segments
+// then miss on every access and DRAM makes lockstep the cheaper
+// composition, although non-lockstep still costs fewer compute cycles.
+TEST(CompositionPrice, SmallSliceDramFlipsTheChoice) {
+  const DeviceConfig dev;
+  SampledWarp w = hand_warp(150, 40, 32 * 40);
+  // Lockstep: 8 node segments, 10 touches each. Non-lockstep: 24
+  // segments cycled 40 times.
+  for (int round = 0; round < 10; ++round)
+    for (std::uint64_t s = 0; s < 8; ++s)
+      w.lockstep_segments.push_back(s * 128);
+  for (int round = 0; round < 40; ++round)
+    for (std::uint64_t s = 0; s < 24; ++s)
+      w.nolockstep_segments.push_back(s * 128);
+  auto cycles_ms = [&](double cycles, std::size_t warps_per_sm) {
+    return static_cast<double>(warps_per_sm) * cycles / (dev.clock_ghz * 1e6);
+  };
+
+  // 14 chunks: a 54 KB slice each, so both walks miss once per segment.
+  const CompositionPrices roomy =
+      price_compositions(std::span(&w, 1), 14, 14, dev);
+  const double lock_cycles = 150 * 40 + 72 * dev.c_l2hit;
+  const double nolock_cycles = 40 * 32 + 1248 * 2 + 936 * dev.c_l2hit;
+  EXPECT_DOUBLE_EQ(roomy.lockstep_ms, cycles_ms(lock_cycles, 1));
+  EXPECT_DOUBLE_EQ(roomy.nolockstep_ms, cycles_ms(nolock_cycles, 1));
+  EXPECT_FALSE(roomy.lockstep_cheaper());
+
+  // 672 chunks (every resident warp): a 1170-byte slice rounds to one set
+  // of 16 lines, and 24 segments cycled through 16 LRU lines always miss.
+  const CompositionPrices tight =
+      price_compositions(std::span(&w, 1), 672, 672, dev);
+  const double dram_ms = 672.0 * 960 * 128 / (dev.mem_bandwidth_gbps * 1e6);
+  EXPECT_DOUBLE_EQ(tight.lockstep_ms, cycles_ms(lock_cycles, 48));
+  EXPECT_DOUBLE_EQ(tight.nolockstep_ms, dram_ms);
+  EXPECT_GT(cycles_ms(lock_cycles, 48), cycles_ms(40 * 32 + 1248 * 2, 48));
+  EXPECT_TRUE(tight.lockstep_cheaper());
+
+  // Free DRAM takes the flip away.
+  DeviceConfig free_dram = dev;
+  free_dram.mem_bandwidth_gbps = 1e12;
+  EXPECT_FALSE(price_compositions(std::span(&w, 1), 672, 672, free_dram)
+                   .lockstep_cheaper());
+}
+
+TEST(CompositionPrice, NothingSampledTiesToLockstep) {
+  const CompositionPrices p = price_compositions(
+      std::span<const SampledWarp>(), 64, 64, DeviceConfig{});
+  EXPECT_EQ(p.lockstep_ms, 0.0);
+  EXPECT_EQ(p.nolockstep_ms, 0.0);
+  EXPECT_TRUE(p.lockstep_cheaper());
 }
 
 TEST(AutoSelect, ZeroSamplesRejected) {

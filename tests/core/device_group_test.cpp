@@ -248,7 +248,8 @@ void expect_same_selection(const SelectionInfo& a, const SelectionInfo& b) {
   EXPECT_EQ(a.mean_similarity, b.mean_similarity);
   EXPECT_EQ(a.baseline_similarity, b.baseline_similarity);
   EXPECT_EQ(a.samples, b.samples);
-  EXPECT_EQ(a.threshold, b.threshold);
+  EXPECT_EQ(a.predicted_lockstep_ms, b.predicted_lockstep_ms);
+  EXPECT_EQ(a.predicted_nolockstep_ms, b.predicted_nolockstep_ms);
   EXPECT_EQ(a.chosen, b.chosen);
   EXPECT_EQ(a.sampling_cycles, b.sampling_cycles);
 }
@@ -267,8 +268,11 @@ TEST(SamplingCharge, SameOnEveryLaunchPath) {
 
     auto solo = run_gpu_sim(pc, space, dev, mode);
     ASSERT_TRUE(solo.selection.has_value());
-    EXPECT_EQ(solo.selection->chosen, sorted ? Variant::kAutoLockstep
-                                             : Variant::kAutoNolockstep);
+    EXPECT_EQ(solo.selection->chosen,
+              solo.selection->predicted_lockstep_ms <=
+                      solo.selection->predicted_nolockstep_ms
+                  ? Variant::kAutoLockstep
+                  : Variant::kAutoNolockstep);
     EXPECT_GT(solo.selection->sampling_cycles, 0.0);
 
     LaunchSpec spec;

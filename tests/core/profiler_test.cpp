@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
 #include "bench_algos/vp/vantage_point.h"
+#include "core/launch.h"
 #include "data/generators.h"
 #include "data/sorting.h"
 #include "spatial/kdtree.h"
@@ -53,22 +56,25 @@ TEST(Profiler, RecordTraversalStartsAtRoot) {
   EXPECT_EQ(visits.front(), 0);
 }
 
+// The similarity lift is a diagnostic now, but it still separates the
+// regimes by a wide margin: well above this on sorted inputs, near 0 on
+// shuffled ones.
+constexpr double kClearLift = 0.15;
+
 TEST(Profiler, SortedInputLooksSorted) {
   PcFixture s(true);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   ProfileReport r = profile_similarity(k, 32, 1);
-  EXPECT_TRUE(r.looks_sorted);
-  EXPECT_GT(r.lift(), kSimilarityLiftThreshold);
+  EXPECT_GT(r.lift(), kClearLift);
 }
 
 TEST(Profiler, ShuffledInputLooksUnsorted) {
   PcFixture s(false);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   ProfileReport r = profile_similarity(k, 32, 1);
-  EXPECT_FALSE(r.looks_sorted);
   // On a shuffled input, adjacent points *are* a random pair, so the
   // adjacent mean should sit near the random-pair baseline.
-  EXPECT_LT(std::abs(r.lift()), kSimilarityLiftThreshold);
+  EXPECT_LT(std::abs(r.lift()), kClearLift);
   PcFixture sorted(true);
   PointCorrelationKernel ks(sorted.tree, sorted.pts, sorted.radius,
                             sorted.space);
@@ -77,15 +83,23 @@ TEST(Profiler, ShuffledInputLooksUnsorted) {
   EXPECT_GT(rs.lift(), r.lift());
 }
 
+// Nothing to sample: both compositions price at 0 and the tie dispatches
+// lockstep, the composition a sorted input gets.
 TEST(Profiler, TinyInputTreatedAsSorted) {
   PointSet pts = gen_uniform(1, 3, 1);
   KdTree tree = build_kdtree(pts, 4);
   GpuAddressSpace space;
   PointCorrelationKernel k(tree, pts, 0.1f, space);
-  ProfileReport r = profile_similarity(k, 8, 1);
-  EXPECT_TRUE(r.looks_sorted);
+  const DeviceConfig dev;
+  ProfileReport r = profile_similarity(k, 8, 1, dev, &space);
   EXPECT_EQ(r.sampled_visits, 0u);  // nothing sampled => nothing charged
   EXPECT_TRUE(r.traversal_visits.empty());
+  EXPECT_TRUE(r.warps.empty());
+  const ResolvedLaunch launch = resolve_auto_select(
+      GpuMode::from(Variant::kAutoSelect), r, k.num_points(), dev);
+  EXPECT_TRUE(launch.mode.lockstep);
+  EXPECT_EQ(launch.selection.chosen, Variant::kAutoLockstep);
+  EXPECT_EQ(launch.selection.sampling_cycles, 0.0);
 }
 
 // Guided kernels (kNumCallSets > 1) route record_traversal through
@@ -109,9 +123,9 @@ TEST(Profiler, GuidedNnSortedMoreSimilarThanShuffled) {
   EXPECT_GT(rs.mean_similarity, ru.mean_similarity);
   // Guided traversals never reach the raw similarity an unguided kernel
   // measures on sorted inputs, but the baseline-normalized lift still
-  // classifies both orders correctly.
-  EXPECT_TRUE(rs.looks_sorted);
-  EXPECT_FALSE(ru.looks_sorted);
+  // separates both orders.
+  EXPECT_GT(rs.lift(), kClearLift);
+  EXPECT_LT(ru.lift(), kClearLift);
   EXPECT_GT(rs.sampled_visits, 0u);
   EXPECT_GT(ru.sampled_visits, 0u);
 }
@@ -132,26 +146,8 @@ TEST(Profiler, GuidedVpSortedMoreSimilarThanShuffled) {
   ProfileReport rs = profile_similarity(ks, 32, 1);
   ProfileReport ru = profile_similarity(ku, 32, 1);
   EXPECT_GT(rs.mean_similarity, ru.mean_similarity);
-  EXPECT_TRUE(rs.looks_sorted);
-  EXPECT_FALSE(ru.looks_sorted);
-}
-
-TEST(Profiler, ThresholdBoundaryIsInclusive) {
-  PcFixture s(true);
-  PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
-  ProfileReport base = profile_similarity(k, 16, 1);
-  ASSERT_GT(base.lift(), 0.0);
-
-  // lift >= threshold counts as sorted, so a threshold exactly at the
-  // measured lift still selects lockstep...
-  ProfileReport at = profile_similarity(k, 16, 1, base.lift());
-  EXPECT_EQ(at.threshold, base.lift());
-  EXPECT_TRUE(at.looks_sorted);
-
-  // ...and the next representable threshold above the lift does not.
-  ProfileReport above =
-      profile_similarity(k, 16, 1, std::nextafter(base.lift(), 2.0));
-  EXPECT_FALSE(above.looks_sorted);
+  EXPECT_GT(rs.lift(), kClearLift);
+  EXPECT_LT(ru.lift(), kClearLift);
 }
 
 TEST(Profiler, SampledVisitsGrowWithSamples) {
@@ -173,6 +169,109 @@ TEST(Profiler, SampledVisitsGrowWithSamples) {
     }
     EXPECT_EQ(sum, r->sampled_visits);
   }
+}
+
+// The sampler's lanes are warp-aligned runs of adjacent points: every run
+// starts on a warp boundary of the launch, covers an even number of
+// points (two at least, at most a warp) and so holds whole pairs, pair s
+// on lanes 2s and 2s + 1; its counters are its lanes' Table-2 quantities.
+void expect_warp_aligned_runs(const PointCorrelationKernel& k,
+                              const ProfileReport& r, std::size_t samples,
+                              const DeviceConfig& dev, bool with_segments) {
+  ASSERT_EQ(r.samples, samples);
+  ASSERT_EQ(r.traversal_visits.size(), 2 * samples);
+  const auto ws = static_cast<std::uint32_t>(dev.warp_size);
+  std::size_t lane = 0;
+  std::uint64_t sum = 0;
+  for (const SampledWarp& w : r.warps) {
+    SCOPED_TRACE("run at point " + std::to_string(w.first_point));
+    EXPECT_EQ(w.first_point % ws, 0u);
+    EXPECT_EQ(lane % 2, 0u);
+    EXPECT_EQ(w.lanes % 2, 0u);
+    EXPECT_GE(w.lanes, 2u);
+    EXPECT_LE(w.lanes, std::max(2u, ws));
+    EXPECT_LE(w.first_point + w.lanes, k.num_points());
+    std::vector<NodeId> all;
+    std::uint64_t visits = 0;
+    std::uint32_t longest = 0;
+    for (std::uint32_t i = 0; i < w.lanes; ++i, ++lane) {
+      const std::vector<NodeId> seen = record_traversal(k, w.first_point + i);
+      ASSERT_LT(lane, r.traversal_visits.size());
+      EXPECT_EQ(r.traversal_visits[lane], seen.size());
+      visits += seen.size();
+      longest = std::max(longest, static_cast<std::uint32_t>(seen.size()));
+      all.insert(all.end(), seen.begin(), seen.end());
+    }
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    EXPECT_EQ(w.lane_visits, visits);
+    EXPECT_EQ(w.longest, longest);
+    EXPECT_EQ(w.union_visits, all.size());
+    EXPECT_EQ(w.lockstep_segments.empty(), !with_segments);
+    EXPECT_EQ(w.nolockstep_segments.empty(), !with_segments);
+    sum += visits;
+  }
+  EXPECT_EQ(lane, 2 * samples);
+  EXPECT_EQ(sum, r.sampled_visits);
+  std::uint64_t lanes_sum = 0;
+  for (std::uint32_t v : r.traversal_visits) lanes_sum += v;
+  EXPECT_EQ(lanes_sum, r.sampled_visits);
+}
+
+TEST(Profiler, SamplesWarpAlignedRuns) {
+  PcFixture s(false);
+  PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
+  const DeviceConfig dev;
+  // 32 samples fill two warps, drawn distinct.
+  const ProfileReport r = profile_similarity(k, 32, 1, dev, &s.space);
+  expect_warp_aligned_runs(k, r, 32, dev, true);
+  ASSERT_EQ(r.warps.size(), 2u);
+  EXPECT_EQ(r.warps[0].lanes, 32u);
+  EXPECT_EQ(r.warps[1].lanes, 32u);
+  EXPECT_NE(r.warps[0].first_point, r.warps[1].first_point);
+  // Without an address space the sampler records the same traversals but
+  // no segments.
+  const ProfileReport bare = profile_similarity(k, 32, 1, dev);
+  expect_warp_aligned_runs(k, bare, 32, dev, false);
+  EXPECT_EQ(bare.traversal_visits, r.traversal_visits);
+  // One sample is one two-lane run.
+  const ProfileReport one = profile_similarity(k, 1, 1, dev, &s.space);
+  expect_warp_aligned_runs(k, one, 1, dev, true);
+  EXPECT_EQ(one.warps.size(), 1u);
+  // 24 samples: a full warp, then a 16-lane run.
+  const ProfileReport partial = profile_similarity(k, 24, 1, dev, &s.space);
+  expect_warp_aligned_runs(k, partial, 24, dev, true);
+  ASSERT_EQ(partial.warps.size(), 2u);
+  EXPECT_EQ(partial.warps[1].lanes, 16u);
+}
+
+TEST(Profiler, SamplerShapesStayValid) {
+  // Fewer points than a warp: every run is the launch's only warp, cut to
+  // its even part.
+  PointSet pts = gen_uniform(11, 3, 5);
+  KdTree tree = build_kdtree(pts, 4);
+  GpuAddressSpace space;
+  PointCorrelationKernel small(tree, pts, 0.3f, space);
+  const DeviceConfig dev;
+  const ProfileReport r = profile_similarity(small, 32, 1, dev, &space);
+  expect_warp_aligned_runs(small, r, 32, dev, true);
+  for (const SampledWarp& w : r.warps) {
+    EXPECT_EQ(w.first_point, 0u);
+    EXPECT_LE(w.lanes, 10u);
+  }
+  // An 8-lane warp: runs of at most 8 lanes on 8-point boundaries.
+  PcFixture s(false);
+  PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
+  DeviceConfig narrow;
+  narrow.warp_size = 8;
+  const ProfileReport r8 = profile_similarity(k, 32, 1, narrow, &s.space);
+  expect_warp_aligned_runs(k, r8, 32, narrow, true);
+  EXPECT_EQ(r8.warps.size(), 8u);
+  // A device the memory front end cannot model is rejected up front.
+  DeviceConfig none;
+  none.warp_size = 0;
+  EXPECT_THROW((void)profile_similarity(k, 32, 1, none, &s.space),
+               std::invalid_argument);
 }
 
 }  // namespace

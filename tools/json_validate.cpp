@@ -7,8 +7,9 @@
 // the optional blocks are checked when present:
 //   rows[].variants -- written by table1 and every grid binary: one object
 //     per variant with ok, stats and time. An ok auto_select carries its
-//     "selection" block and names an autoropes composition; an ok
-//     stackless variant shows zero stack footprint.
+//     "selection" block, whose chosen autoropes composition is the one
+//     with the lower predicted time (ties: lockstep); an ok stackless
+//     variant shows zero stack footprint.
 //   time (every variant row, and fusion's fused/sequential times) --
 //     memory_bound == (memory_ms > compute_ms), and total_ms == select_ms
 //     + max(compute_ms, memory_ms): the auto_select sampler is a serial
@@ -188,21 +189,43 @@ int compare_golden(const char* golden_path, const char* report_path) {
 }
 
 // The auto_select variant of an ok row must carry the full selection
-// block, and the chosen composition must be one it can dispatch to.
+// block: both autoropes compositions' predicted times, finite and >= 0,
+// and the chosen composition the cheaper of the two -- ties dispatch
+// lockstep (core/launch.h CompositionPrices). The retired sortedness
+// rule's "threshold" member is rejected.
 int check_selection(const std::string& at, const JsonValue& vr) {
   const JsonValue* sel = vr.find("selection");
   if (!sel || !sel->is_object())
     return fail(at + ": ok auto_select without \"selection\" block");
-  for (const char* field : {"mean_similarity", "baseline_similarity",
-                            "samples", "threshold", "chosen",
-                            "sampling_cycles"})
+  for (const char* field :
+       {"mean_similarity", "baseline_similarity", "samples",
+        "predicted_lockstep_ms", "predicted_nolockstep_ms", "chosen",
+        "sampling_cycles"})
     if (!sel->find(field))
       return fail(at + ".selection: missing \"" + field + "\"");
+  if (sel->find("threshold"))
+    return fail(at + ".selection: \"threshold\" is not a v13 member (the "
+                "selector prices both compositions instead)");
   const std::string& chosen = sel->find("chosen")->as_string();
   if (chosen != tt::variant_name(tt::Variant::kAutoLockstep) &&
       chosen != tt::variant_name(tt::Variant::kAutoNolockstep))
     return fail(at + ".selection: chosen is \"" + chosen +
                 "\", expected an autoropes composition");
+  const double lock = sel->find("predicted_lockstep_ms")->as_number();
+  const double nolock = sel->find("predicted_nolockstep_ms")->as_number();
+  for (double ms : {lock, nolock})
+    if (!std::isfinite(ms) || ms < 0)
+      return fail(at + ".selection: predicted time " +
+                  tt::obs::json_number(ms) + " is not a finite ms >= 0");
+  const char* cheaper = tt::variant_name(lock <= nolock
+                                             ? tt::Variant::kAutoLockstep
+                                             : tt::Variant::kAutoNolockstep);
+  if (chosen != cheaper)
+    return fail(at + ".selection: chosen is \"" + chosen +
+                "\" but the cheaper composition is \"" + cheaper +
+                "\" (predicted_lockstep_ms " + tt::obs::json_number(lock) +
+                " vs predicted_nolockstep_ms " + tt::obs::json_number(nolock) +
+                "; ties dispatch lockstep)");
   return 0;
 }
 
