@@ -1,11 +1,13 @@
 // Serving harness: open-loop traffic over the admission--dispatch layer
 // (core/serving.h). Queries drawn from a pool of prepared benchmark
 // kernels arrive on a Poisson or bursty (on-off) trace and are admitted
-// into a ServingSession, which drains them in waves on the configured
-// cadence. Reported: throughput, p50/p95/p99 modelled latency,
-// queue-depth / occupancy telemetry, per-drain records, and the
-// drain-cadence sweep showing the batching-delay vs transfer-amortization
-// trade-off. All times are modelled milliseconds, so the whole report is
+// into a ServingSession, which dispatches a wave the moment a device is
+// idle, holding at most --drain-max-batch of the queries that waited.
+// Reported: throughput, p50/p95/p99 modelled latency, queue-depth /
+// occupancy telemetry, per-drain records, and the wave-size sweep: the
+// same trace with the cap at 1..32 queries, showing how much of the
+// batching (launch overheads and transfer amortized) the cap lets busy
+// devices keep. All times are modelled milliseconds, so the whole report is
 // deterministic for a given seed (and byte-identical across
 // OMP_NUM_THREADS settings).
 //
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
   Cli cli(
       "serving: open-loop arrival traffic through the ServingSession "
       "admission layer -- throughput, p50/p95/p99 modelled latency, queue "
-      "telemetry, and the drain-cadence sweep");
+      "telemetry, and the wave-size sweep");
   benchx::add_common_flags(cli);
   cli.add_int("queries", 512, "queries to submit");
   cli.add_string("arrivals", "poisson",
@@ -100,14 +102,12 @@ int main(int argc, char** argv) {
                  "bursty: ON-window rate as a multiple of the mean rate "
                  "(duty-cycle corrected)");
   cli.add_int("drain-max-batch", 8,
-              "admission wave size that triggers an immediate drain");
-  cli.add_double("drain-max-delay-ms", 0.25,
-                 "longest a pending query may wait before its wave drains");
+              "most queries one wave takes when a device frees up");
   cli.add_int("queue-capacity", 4096,
               "ring-buffer admission queue capacity (full = drop)");
   cli.add_int("devices", 1,
               "simulated device count; each wave dispatches to the "
-              "least-loaded device (1 = the single-device model)");
+              "earliest-free device (1 = the single-device model)");
   cli.add_int("shard-chunk", 0,
               "points per pipelined upload chunk: each wave's copy-in "
               "overlaps its compute and only the exposed portion is "
@@ -117,7 +117,8 @@ int main(int argc, char** argv) {
   cli.add_string("serve-variant", "auto_select",
                  "the composition every served launch simulates");
   cli.add_flag("sweep", true,
-               "also sweep the drain cadence (--no-sweep to skip)");
+               "also sweep --drain-max-batch over 1..32 (--no-sweep to "
+               "skip)");
 
   return benchx::run_main(cli, argc, argv, "serving", [&]() -> int {
     benchx::ChromeTrace chrome(cli);
@@ -185,9 +186,6 @@ int main(int argc, char** argv) {
     if (max_batch <= 0)
       throw std::invalid_argument("--drain-max-batch must be >= 1");
     scfg.drain.max_batch = static_cast<std::size_t>(max_batch);
-    scfg.drain.max_delay_ms = cli.get_double("drain-max-delay-ms");
-    if (scfg.drain.max_delay_ms < 0)
-      throw std::invalid_argument("--drain-max-delay-ms must be >= 0");
     const long long capacity = cli.get_int("queue-capacity");
     if (capacity <= 0)
       throw std::invalid_argument("--queue-capacity must be >= 1");
@@ -253,20 +251,20 @@ int main(int argc, char** argv) {
               << fmt_fixed(r.latency.p99, 3) << " ms\n";
 
     if (cli.get_flag("sweep")) {
-      // The drain-cadence trade-off: longer max-delay forms bigger waves
-      // (fewer launch overheads, more transfer saved) at the price of
-      // queueing latency. Identical workload at every point.
-      Table sweep_table({"MaxDelay(ms)", "Drains", "MeanBatch", "p50(ms)",
+      // The wave-size cap: waves only grow while every device is busy, so
+      // a larger cap lets a backlog leave in fewer launches (less launch
+      // overhead, more transfer saved); max_batch = 1 never batches.
+      // Identical workload at every point.
+      Table sweep_table({"MaxBatch", "Drains", "MeanBatch", "p50(ms)",
                          "p95(ms)", "p99(ms)", "Thru(qps)",
                          "XferSaved(ms)"});
-      for (double delay_ms : {0.0, 0.1, 0.25, 0.5, 1.0, 2.0}) {
+      for (const std::size_t cap : {1u, 2u, 4u, 8u, 16u, 32u}) {
         ServingConfig sc = scfg;
         sc.chrome = nullptr;
-        sc.drain.max_delay_ms = delay_ms;
+        sc.drain.max_batch = cap;
         const ServingReport sr = run_session(pool, trace, picks, sc, mode);
         ServingSweepPoint p;
-        p.max_delay_ms = delay_ms;
-        p.max_batch = sc.drain.max_batch;
+        p.max_batch = cap;
         p.drains = sr.drains.size();
         p.mean_batch = sr.drains.empty()
                            ? 0
@@ -280,7 +278,7 @@ int main(int argc, char** argv) {
             sr.summed_solo_transfer_ms() - sr.amortized_transfer_ms();
         summary.sweep.push_back(p);
         sweep_table.add_row(
-            {fmt_fixed(p.max_delay_ms, 2), std::to_string(p.drains),
+            {std::to_string(p.max_batch), std::to_string(p.drains),
              fmt_fixed(p.mean_batch, 2), fmt_fixed(p.p50_ms, 3),
              fmt_fixed(p.p95_ms, 3), fmt_fixed(p.p99_ms, 3),
              fmt_fixed(p.throughput_qps, 1),

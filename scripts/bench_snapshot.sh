@@ -76,13 +76,17 @@ with open(out_path, "w") as f:
 print(f"wrote {out_path} ({len(snapshot['cells'])} cells)")
 PY
 
-# Serving baseline: the same pc+nn pool under an open-loop Poisson trace
-# at a pinned rate, distilled into BENCH_serving.json -- headline
-# percentiles, queue telemetry, and the drain-cadence sweep. Everything
-# in it is modelled time, so the file only changes when behavior does.
+# Serving baseline: the same pc+nn pool at two loads, distilled into
+# BENCH_serving.json. The headline is an open-loop Poisson trace at a
+# pinned 400 qps, where nearly every query finds a device idle (the
+# latency floor); "loaded" is a bursty trace averaging ~60k qps on two
+# devices (~90% occupancy), where waves form behind busy devices and the
+# wave-size (max_batch) sweep shows what the cap trades. Everything in it
+# is modelled time, so the file only changes when behavior does.
 serving_out="${2:-$repo/BENCH_serving.json}"
 serving_raw="$(mktemp /tmp/bench_snapshot_serving_XXXX.json)"
-trap 'rm -f "$raw" "$serving_raw"' EXIT
+loaded_raw="$(mktemp /tmp/bench_snapshot_loaded_XXXX.json)"
+trap 'rm -f "$raw" "$serving_raw" "$loaded_raw"' EXIT
 
 if [[ ! -x "$build/bench/serving" ]]; then
   echo "== building serving =="
@@ -92,52 +96,72 @@ fi
 echo "== serving (pc+nn pool, 256 queries, poisson @ 400 qps) =="
 "$build/bench/serving" --benchmarks=pc,nn --points=512 --queries=256 \
   --rate-qps=400 --json="$serving_raw" >/dev/null
+echo "== serving (pc+nn pool, 2000 queries, bursty, 2 devices) =="
+"$build/bench/serving" --benchmarks=pc,nn --points=512 --queries=2000 \
+  --devices=2 --arrivals=bursty --rate-qps=30000 \
+  --json="$loaded_raw" >/dev/null
 
-python3 - "$serving_raw" "$serving_out" <<'PY'
+python3 - "$serving_raw" "$loaded_raw" "$serving_out" <<'PY'
 import json, sys
 
-raw_path, out_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    report = json.load(f)
+raw_path, loaded_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
 
-s = report["serving"]
+def distill(path):
+    with open(path) as f:
+        report = json.load(f)
+    s = report["serving"]
+    return report, {
+        "arrivals": s["arrivals"],
+        "rate_qps": s["rate_qps"],
+        "queries": s["queries"],
+        "devices": s["devices"],
+        "drain_policy": s["drain_policy"],
+        "completed": s["completed"],
+        "dropped": s["dropped"],
+        "drains": len(s["drains"]),
+        "throughput_qps": s["throughput_qps"],
+        "occupancy": s["occupancy"],
+        "latency_ms": {k: s["latency_ms"][k]
+                       for k in ("p50", "p95", "p99", "max")},
+        "queue_delay_p50_ms": s["queue_delay_ms"]["p50"],
+        "queue": s["queue"],
+        "transfer": {
+            "amortized_ms": s["transfer"]["amortized_ms"],
+            "summed_solo_ms": s["transfer"]["summed_solo_ms"],
+        },
+        "sweep": [
+            {
+                "max_batch": p["max_batch"],
+                "drains": p["drains"],
+                "mean_batch": p["mean_batch"],
+                "p50_ms": p["p50_ms"],
+                "p99_ms": p["p99_ms"],
+                "throughput_qps": p["throughput_qps"],
+                "transfer_saved_ms": p["transfer_saved_ms"],
+            }
+            for p in s["sweep"]
+        ],
+    }
+
+report, headline = distill(raw_path)
+_, loaded = distill(loaded_path)
 snapshot = {
-    "schema": "treetrav.bench_snapshot.serving/v1",
+    "schema": "treetrav.bench_snapshot.serving/v2",
     "source": "serving --benchmarks=pc,nn --points=512 --queries=256 "
               "--rate-qps=400",
     "git_sha": report.get("git_sha", "unknown"),
-    "arrivals": s["arrivals"],
-    "rate_qps": s["rate_qps"],
-    "queries": s["queries"],
-    "drain_policy": s["drain_policy"],
-    "completed": s["completed"],
-    "dropped": s["dropped"],
-    "drains": len(s["drains"]),
-    "throughput_qps": s["throughput_qps"],
-    "occupancy": s["occupancy"],
-    "latency_ms": {k: s["latency_ms"][k] for k in ("p50", "p95", "p99", "max")},
-    "queue_delay_p50_ms": s["queue_delay_ms"]["p50"],
-    "queue": s["queue"],
-    "transfer": {
-        "amortized_ms": s["transfer"]["amortized_ms"],
-        "summed_solo_ms": s["transfer"]["summed_solo_ms"],
+    **headline,
+    "loaded": {
+        "source": "serving --benchmarks=pc,nn --points=512 --queries=2000 "
+                  "--devices=2 --arrivals=bursty --rate-qps=30000",
+        **loaded,
     },
-    "sweep": [
-        {
-            "max_delay_ms": p["max_delay_ms"],
-            "drains": p["drains"],
-            "mean_batch": p["mean_batch"],
-            "p50_ms": p["p50_ms"],
-            "p99_ms": p["p99_ms"],
-            "transfer_saved_ms": p["transfer_saved_ms"],
-        }
-        for p in s["sweep"]
-    ],
 }
 with open(out_path, "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=False)
     f.write("\n")
-print(f"wrote {out_path} ({len(snapshot['sweep'])} sweep points)")
+print(f"wrote {out_path} ({len(snapshot['sweep'])} + "
+      f"{len(loaded['sweep'])} sweep points)")
 PY
 
 # Sharding baseline: the same pc+nn pool split across the simulated
@@ -146,7 +170,7 @@ PY
 # chunk-size sweep. All modelled time; changes only when behavior does.
 sharding_out="${3:-$repo/BENCH_sharding.json}"
 sharding_raw="$(mktemp /tmp/bench_snapshot_sharding_XXXX.json)"
-trap 'rm -f "$raw" "$serving_raw" "$sharding_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$loaded_raw" "$sharding_raw"' EXIT
 
 if [[ ! -x "$build/bench/sharding" ]]; then
   echo "== building sharding =="
@@ -224,7 +248,7 @@ PY
 # the static-ropes install pass, taken from the --json-volatile table.
 ropes_out="${4:-$repo/BENCH_ropes.json}"
 ropes_raw="$(mktemp /tmp/bench_snapshot_ropes_XXXX.json)"
-trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$loaded_raw" "$sharding_raw" "$ropes_raw"' EXIT
 
 if [[ ! -x "$build/bench/ablation_ropes" ]]; then
   echo "== building ablation_ropes =="
@@ -304,7 +328,7 @@ PY
 # All modelled time; changes only when behavior does.
 fusion_out="${FUSION_JSON:-$repo/BENCH_fusion.json}"
 fusion_raw="$(mktemp /tmp/bench_snapshot_fusion_XXXX.json)"
-trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$loaded_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw"' EXIT
 
 if [[ ! -x "$build/bench/fusion" ]]; then
   echo "== building fusion =="
@@ -377,7 +401,7 @@ PY
 # modelled; the file changes only when behavior does.
 memprof_out="${MEMPROF_JSON:-$repo/BENCH_memprof.json}"
 memprof_raw="$(mktemp /tmp/bench_snapshot_memprof_XXXX.json)"
-trap 'rm -f "$raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw" "$memprof_raw"' EXIT
+trap 'rm -f "$raw" "$serving_raw" "$loaded_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw" "$memprof_raw"' EXIT
 
 if [[ ! -x "$build/bench/memprof" ]]; then
   echo "== building memprof =="

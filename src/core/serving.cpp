@@ -195,11 +195,16 @@ double ServingReport::summed_solo_transfer_ms() const {
 
 ServingSession::ServingSession(ServingConfig cfg)
     : cfg_(std::move(cfg)), sched_(cfg_.policy) {
-  if (cfg_.drain.max_batch == 0) cfg_.drain.max_batch = 1;
-  if (cfg_.drain.max_delay_ms < 0) cfg_.drain.max_delay_ms = 0;
-  if (cfg_.devices == 0) cfg_.devices = 1;
+  auto require = [](std::size_t v, const char* field) {
+    if (v == 0)
+      throw std::invalid_argument(std::string("ServingSession: ") + field +
+                                  " must be >= 1");
+  };
+  require(cfg_.drain.max_batch, "drain.max_batch");
+  require(cfg_.devices, "devices");
+  require(cfg_.queue_capacity, "queue_capacity");
   device_free_ms_.assign(cfg_.devices, 0.0);
-  ring_.resize(std::max<std::size_t>(cfg_.queue_capacity, 1));
+  ring_.resize(cfg_.queue_capacity);
 }
 
 ServingSession::CacheKey ServingSession::cache_key(const LaunchSpec& spec) {
@@ -220,7 +225,8 @@ bool ServingSession::submit(QuerySet q, double arrival_ms) {
   }
   last_arrival_ms_ = arrival_ms;
   ++submitted_;
-  // Fire every wave whose max-delay deadline passed before this arrival.
+  // Fire every wave that starts before this arrival; a wave starting at
+  // exactly this stamp waits, so the new query can still join it.
   advance_to(arrival_ms);
   if (count_ == ring_.size()) {
     ++dropped_;
@@ -231,20 +237,30 @@ bool ServingSession::submit(QuerySet q, double arrival_ms) {
   ++count_;
   queue_depth_max_ = std::max(queue_depth_max_, count_);
   queue_depth_stats_.add(static_cast<double>(count_));
-  while (count_ >= cfg_.drain.max_batch) fire(arrival_ms);
   return true;
+}
+
+std::size_t ServingSession::earliest_device() const {
+  // min_element returns the first minimum: ties go to the lowest index.
+  return static_cast<std::size_t>(
+      std::min_element(device_free_ms_.begin(), device_free_ms_.end()) -
+      device_free_ms_.begin());
+}
+
+double ServingSession::next_start_ms() const {
+  return std::max(front().arrival_ms, device_free_ms_[earliest_device()]);
 }
 
 void ServingSession::advance_to(double now_ms) {
   while (count_ > 0) {
-    const double deadline = front().arrival_ms + cfg_.drain.max_delay_ms;
-    if (deadline >= now_ms) break;
-    fire(deadline);
+    const double start = next_start_ms();
+    if (start >= now_ms) break;
+    fire(start);
   }
 }
 
 void ServingSession::flush() {
-  while (count_ > 0) fire(front().arrival_ms + cfg_.drain.max_delay_ms);
+  while (count_ > 0) fire(next_start_ms());
 }
 
 ServingSession::Pending ServingSession::pop_front() {
@@ -254,23 +270,20 @@ ServingSession::Pending ServingSession::pop_front() {
   return p;
 }
 
-void ServingSession::fire(double trigger_ms) {
+void ServingSession::fire(double start_ms) {
   const std::size_t n = std::min(cfg_.drain.max_batch, count_);
   if (n == 0) return;
   DrainRecord rec;
-  rec.trigger_ms = trigger_ms;
-  // Route the wave to the least-loaded device (earliest free; ties break
-  // to the lowest index so the choice is deterministic). Dispatch times
-  // stay non-decreasing across drains: each fire only raises one entry of
-  // the free array, so its minimum never moves backwards, and triggers
-  // are non-decreasing by the admission contract.
-  std::size_t device = 0;
-  for (std::size_t d = 1; d < device_free_ms_.size(); ++d)
-    if (device_free_ms_[d] < device_free_ms_[device]) device = d;
-  rec.device = device;
-  rec.dispatch_ms = std::max(trigger_ms, device_free_ms_[device]);
-  rec.queue_depth_before = count_;
-  rec.n_queries = n;
+  // Route the wave to the earliest-free device; next_start_ms() never
+  // starts a wave before that device is free, so the wave dispatches at
+  // start_ms. Dispatch times stay non-decreasing across drains: each fire
+  // only raises one entry of the free array, so its minimum never moves
+  // backwards, and arrivals are non-decreasing by the admission contract.
+  const std::size_t device = earliest_device();
+  rec.device = static_cast<std::uint32_t>(device);
+  rec.dispatch_ms = start_ms;
+  rec.queue_depth_before = static_cast<std::uint32_t>(count_);
+  rec.n_queries = static_cast<std::uint32_t>(n);
 
   wave_.clear();
   for (std::size_t i = 0; i < n; ++i) wave_.push_back(pop_front());
@@ -280,7 +293,7 @@ void ServingSession::fire(double trigger_ms) {
   // real warp activity; caching the executed stats is always sound --
   // batching is results-neutral, so they match what solo would measure.
   // Only cold launches copy their spec.
-  const std::size_t drain_index = drains_.size();
+  const std::size_t drain_index = drains_->size();
   const bool tracing = cfg_.chrome && drain_index < cfg_.max_drain_tracks;
   admits_.assign(n, Measured{});
   cold_.clear();
@@ -304,7 +317,7 @@ void ServingSession::fire(double trigger_ms) {
 
   LaunchPool pool;
   if (!cold_.empty()) pool = run_launch_pool(cold_, cfg_.device);
-  rec.cold_launches = cold_.size();
+  rec.cold_launches = static_cast<std::uint32_t>(cold_.size());
 
   for (std::size_t c = 0; c < cold_.size(); ++c) {
     const LaunchResult& r = pool.launches[c];
@@ -326,10 +339,10 @@ void ServingSession::fire(double trigger_ms) {
   sched_.clear();
   for (const Measured& m : admits_) sched_.add_launch(m.shape);
   const BatchSchedule bs = sched_.schedule();
-  rec.residency = bs.residency;
-  rec.total_chunks = bs.total_chunks;
-  rec.rounds = bs.rounds;
-  rec.switches = bs.switches;
+  rec.residency = static_cast<std::uint32_t>(bs.residency);
+  rec.total_chunks = static_cast<std::uint32_t>(bs.total_chunks);
+  rec.rounds = static_cast<std::uint32_t>(bs.rounds);
+  rec.switches = static_cast<std::uint32_t>(bs.switches);
 
   // One amortized round trip for the wave vs what solo dispatch would pay.
   std::uint64_t up = 0;
@@ -358,7 +371,6 @@ void ServingSession::fire(double trigger_ms) {
   } else {
     rec.transfer_ms = cfg_.transfer.round_trip_ms(up, down, 1);
   }
-  rec.service_ms = rec.transfer_ms + total_compute;
 
   // Per-query completion = queueing + wave transfer + compute. Sequential
   // issue retires each launch in admission order (prefix sums of compute);
@@ -380,9 +392,9 @@ void ServingSession::fire(double trigger_ms) {
     if (!admits_[i].ok) ++failed_;
   }
   wave_.clear();
-  device_free_ms_[device] = rec.dispatch_ms + rec.service_ms;
-  busy_ms_ += rec.service_ms;
-  drains_.push_back(rec);
+  device_free_ms_[device] = rec.dispatch_ms + rec.service_ms();
+  busy_ms_ += rec.service_ms();
+  drains_->push_back(rec);
 }
 
 ServingReport ServingSession::report() const {
@@ -400,7 +412,7 @@ ServingReport ServingSession::report() const {
   r.queue_depth = queue_depth_stats_.summary();
   r.latency = summarize_latency(latencies_);
   r.queue_delay = summarize_latency(queue_delays_);
-  r.drains = drains_;
+  r.drains = DrainLogView(drains_, drains_->size());
   return r;
 }
 

@@ -19,15 +19,16 @@
 //   ServingSession
 //     The admission layer: a session object owning a ring-buffer
 //     admission queue. submit(QuerySet, arrival_ms) enqueues work in
-//     arrival order; the session drains on a configurable cadence
-//     (DrainPolicy: max-batch-size / max-delay), dispatches each drained
+//     arrival order; the session drains it work-conservingly (DrainPolicy:
+//     a wave starts the moment a device is idle and a query is waiting,
+//     and takes up to max_batch pending queries), dispatches each drained
 //     wave through BatchScheduler + run_launch_pool, and derives
 //     per-query completion times from the simulated cost model:
-//     queueing delay (dispatch - arrival, including waiting for the
-//     device to go idle) + the wave's amortized transfer + the launch's
-//     modelled compute. Identical resubmissions of a (kernel, mode) pair
-//     replay the first execution's measurements -- exact, because
-//     batching is results-neutral by construction -- which is what makes
+//     queueing delay (dispatch - arrival, i.e. waiting for a device to go
+//     idle) + the wave's amortized transfer + the launch's modelled
+//     compute. Identical resubmissions of a (kernel, mode) pair replay
+//     the first execution's measurements -- exact, because batching is
+//     results-neutral by construction -- which is what makes
 //     million-query traces affordable.
 //
 // All times on this layer are *modelled* milliseconds (cost model +
@@ -35,7 +36,10 @@
 // seed and byte-identical across OMP_NUM_THREADS settings.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <span>
@@ -89,22 +93,25 @@ struct QuerySet {
   std::uint64_t download_bytes = 0;
 };
 
-// When a pending wave dispatches: as soon as `max_batch` queries are
-// queued, or when the oldest pending query has waited `max_delay_ms` of
-// modelled time -- whichever comes first. The knob IS the serving
-// trade-off: a longer delay forms bigger waves (fewer launch overheads,
-// better transfer amortization) at the price of queueing latency.
+// How pending queries form waves. Draining is work-conserving: a wave
+// starts at max(oldest pending arrival, earliest device-free time), so no
+// device idles while a query waits, and it takes the pending queries in
+// FIFO order, up to `max_batch` -- every one of them has arrived by then.
+// An idle group therefore serves each query at its arrival (waves of
+// one); under load a wave holds whatever arrived while every device was
+// busy, so batching (fewer launch overheads, amortized transfer) happens
+// exactly where queueing already costs latency. `max_batch` caps how
+// much of a backlog one launch may absorb.
 struct DrainPolicy {
   std::size_t max_batch = 8;
-  double max_delay_ms = 0.25;
 };
 
 struct ServingConfig {
   DeviceConfig device;
   // Simulated device count. Each drained wave dispatches to the
-  // least-loaded device (earliest free, ties to the lowest index), so
-  // open-loop throughput scales with the group size while per-wave
-  // batching semantics stay unchanged. 1 keeps the single-device model
+  // earliest-free device (ties to the lowest index), so open-loop
+  // throughput scales with the group size while per-wave batching
+  // semantics stay unchanged. 1 keeps the single-device model
   // byte-for-byte.
   std::size_t devices = 1;
   // Pipelined wave uploads: when > 0, each drained wave's copy-in is
@@ -116,8 +123,9 @@ struct ServingConfig {
   BatchPolicy policy = BatchPolicy::kRoundRobin;
   DrainPolicy drain;
   TransferModel transfer;
-  // Ring-buffer admission queue capacity; a submit that finds the ring
-  // full is dropped (counted, never silently).
+  // Ring-buffer admission queue capacity: it bounds every query not yet
+  // dispatched. A submit that finds the ring full is dropped (counted,
+  // never silently).
   std::size_t queue_capacity = 4096;
   // Replay cached measurements for identical (kernel, mode) resubmissions
   // instead of re-simulating. Exact by the results-neutrality contract;
@@ -143,26 +151,87 @@ struct LatencySummary {
 // percentile() over one sorted pass; linear interpolation (util/stats.h).
 [[nodiscard]] LatencySummary summarize_latency(std::vector<double> xs);
 
-// One drained wave's accounting.
+// One drained wave's accounting, 64 bytes: the session keeps one per
+// wave for its whole life, and low-load traces drain nearly once per
+// query.
 struct DrainRecord {
-  double trigger_ms = 0;   // when the size/delay policy fired
-  double dispatch_ms = 0;  // max(trigger, chosen device became idle)
-  std::size_t device = 0;  // least-loaded device the wave dispatched to
-  std::size_t n_queries = 0;
-  std::size_t queue_depth_before = 0;  // pending count when fired
-  std::size_t cold_launches = 0;       // executed (vs cache-replayed)
+  double dispatch_ms = 0;  // max(oldest pending arrival, device free)
   // One amortized round trip for the wave; under pipelined uploads
   // (ServingConfig::shard_chunk > 0) only the exposed, non-overlapped
-  // portion -- service_ms = transfer_ms + compute_ms either way.
+  // portion -- service_ms() = transfer_ms + compute_ms either way.
   double transfer_ms = 0;
   double solo_transfer_ms = 0;  // what the same queries pay one-by-one
   double compute_ms = 0;        // sum of the wave's modelled kernel times
-  double service_ms = 0;        // transfer + compute (device busy time)
+  std::uint32_t device = 0;     // the earliest-free device, which ran it
+  std::uint32_t n_queries = 0;
+  std::uint32_t queue_depth_before = 0;  // pending count when fired
+  std::uint32_t cold_launches = 0;       // executed (vs cache-replayed)
   // BatchSchedule accounting over the wave under ServingConfig::policy.
-  std::size_t residency = 0;
-  std::size_t total_chunks = 0;
-  std::size_t rounds = 0;
-  std::size_t switches = 0;
+  std::uint32_t residency = 0;
+  std::uint32_t total_chunks = 0;
+  std::uint32_t rounds = 0;
+  std::uint32_t switches = 0;
+
+  // Device busy time of the wave.
+  [[nodiscard]] double service_ms() const { return transfer_ms + compute_ms; }
+};
+static_assert(sizeof(DrainRecord) <= 64, "DrainRecord is kept per wave");
+
+// A read-only prefix of a session's append-only drain log: the first
+// size() drains, in dispatch order. Copying one copies a pointer, never
+// records. It stays valid -- same count, same values -- after the session
+// appends more drains and after the session is destroyed. (Like the
+// session itself, not safe to read while another thread submits.)
+class DrainLogView {
+ public:
+  using Log = std::deque<DrainRecord>;
+
+  // Index-based, so the log's growth cannot invalidate it.
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = DrainRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const DrainRecord*;
+    using reference = const DrainRecord&;
+
+    iterator() = default;
+    iterator(const Log* log, std::size_t i) : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const Log* log_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  DrainLogView() = default;
+  DrainLogView(std::shared_ptr<const Log> log, std::size_t n)
+      : log_(std::move(log)), n_(n) {}
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  [[nodiscard]] const DrainRecord& operator[](std::size_t i) const {
+    return (*log_)[i];
+  }
+  [[nodiscard]] const DrainRecord& front() const { return (*log_)[0]; }
+  [[nodiscard]] const DrainRecord& back() const { return (*log_)[n_ - 1]; }
+  [[nodiscard]] iterator begin() const { return {log_.get(), 0}; }
+  [[nodiscard]] iterator end() const { return {log_.get(), n_}; }
+
+ private:
+  std::shared_ptr<const Log> log_;
+  std::size_t n_ = 0;
 };
 
 struct ServingReport {
@@ -179,7 +248,7 @@ struct ServingReport {
   Summary queue_depth;  // depth observed after each admit
   LatencySummary latency;      // completion - arrival
   LatencySummary queue_delay;  // dispatch - arrival
-  std::vector<DrainRecord> drains;
+  DrainLogView drains;
 
   [[nodiscard]] double span_ms() const {
     return last_completion_ms > first_arrival_ms
@@ -202,13 +271,19 @@ struct ServingReport {
 
 // The session object. Lifecycle: submit(...) in non-decreasing arrival
 // order, then flush() to drain the tail, then report(). Virtual time
-// advances with the submitted arrival stamps; drains fire lazily as
-// submissions (or flush) move time past their trigger. A wave that is
-// size-triggered admits exactly the queries that formed it -- later
-// arrivals wait for the next wave even if the device is still busy.
+// advances with the submitted arrival stamps; a wave fires lazily, once a
+// submission (or flush) moves time past its start, so queries sharing an
+// arrival stamp share a wave. Move-only: the drain log is shared with
+// the reports taken from it, never with another session.
 class ServingSession {
  public:
+  // Throws std::invalid_argument, naming the field, on drain.max_batch,
+  // devices or queue_capacity == 0.
   explicit ServingSession(ServingConfig cfg);
+  ServingSession(ServingSession&&) = default;
+  ServingSession& operator=(ServingSession&&) = default;
+  ServingSession(const ServingSession&) = delete;
+  ServingSession& operator=(const ServingSession&) = delete;
 
   // Enqueue one query set at `arrival_ms` (modelled). Returns false when
   // the ring buffer is full and the query was dropped. Throws
@@ -216,13 +291,14 @@ class ServingSession {
   // stamp earlier than the previous submit.
   bool submit(QuerySet q, double arrival_ms);
 
-  // Drain everything still pending (each residual wave fires at its
-  // max-delay deadline, as if the timer expired after the last arrival).
+  // Drain everything still pending: each residual wave starts as soon as
+  // a device is free, as if no later query were coming.
   void flush();
 
   [[nodiscard]] std::size_t pending() const { return count_; }
 
-  // Aggregate telemetry + percentiles over everything served so far.
+  // Aggregate telemetry + percentiles over everything served so far; its
+  // drains are a view of the session's log, not a copy.
   [[nodiscard]] ServingReport report() const;
 
   // Per-query modelled times, in completion order (tests; also the raw
@@ -260,8 +336,14 @@ class ServingSession {
   using CacheKey = std::pair<const KernelHandle*, GpuMode>;
   static CacheKey cache_key(const LaunchSpec& spec);
 
+  // The device the next wave runs on: earliest free, ties to the lowest
+  // index so routing is deterministic.
+  [[nodiscard]] std::size_t earliest_device() const;
+  // When the next wave starts: max(oldest pending arrival, earliest
+  // device-free time). Requires a pending query.
+  [[nodiscard]] double next_start_ms() const;
   void advance_to(double now_ms);
-  void fire(double trigger_ms);
+  void fire(double start_ms);
   [[nodiscard]] const Pending& front() const { return ring_[head_]; }
   Pending pop_front();
 
@@ -276,17 +358,17 @@ class ServingSession {
   std::map<CacheKey, CachedLaunch> cache_;
 
   // Per-drain scratch, reused across drains: once these reach the largest
-  // wave's size, a drain's own bookkeeping allocates nothing. fire()
-  // empties the query-holding ones before it returns, so no handle
-  // outlives its drain here.
+  // wave's size, a drain's own bookkeeping allocates nothing beyond its
+  // log record. fire() empties the query-holding ones before it returns,
+  // so no handle outlives its drain here.
   std::vector<Pending> wave_;
   std::vector<Measured> admits_;  // per wave query, in admission order
   std::vector<LaunchSpec> cold_;  // the wave's executed launches
   std::vector<std::size_t> cold_to_admit_;
   BatchScheduler sched_;
 
-  // Telemetry accumulators (scalars + per-drain records only, so memory
-  // stays O(queries served) * 16 bytes even for million-query traces).
+  // Telemetry accumulators: scalars, two doubles per query served and one
+  // 64-byte record per drain, so million-query traces stay small.
   std::size_t submitted_ = 0;
   std::size_t dropped_ = 0;
   std::size_t failed_ = 0;
@@ -297,7 +379,10 @@ class ServingSession {
   RunningStats queue_depth_stats_;
   std::vector<double> latencies_;
   std::vector<double> queue_delays_;
-  std::vector<DrainRecord> drains_;
+  // Append-only, shared with every report taken from it: a deque never
+  // moves its records and grows without a vector's doubling slack.
+  std::shared_ptr<DrainLogView::Log> drains_ =
+      std::make_shared<DrainLogView::Log>();
 };
 
 // ---------------------------------------------------------------------
@@ -322,10 +407,9 @@ class ServingSession {
 // Report-facing bundle (the obs/run_report.h "serving" block).
 // ---------------------------------------------------------------------
 
-// One point of the drain-cadence sweep: the batching-delay vs transfer-
-// amortization trade-off at a fixed max_delay_ms.
+// One point of the wave-size sweep: the same trace served with drains
+// capped at `max_batch` queries.
 struct ServingSweepPoint {
-  double max_delay_ms = 0;
   std::size_t max_batch = 0;
   std::size_t drains = 0;
   double mean_batch = 0;
@@ -337,7 +421,7 @@ struct ServingSweepPoint {
 };
 
 // Everything the RunReport "serving" block serializes: the scenario, the
-// headline session's report, and the optional cadence sweep.
+// headline session's report, and the optional wave-size sweep.
 struct ServingRunSummary {
   std::string arrivals;  // "poisson" | "bursty"
   double rate_qps = 0;

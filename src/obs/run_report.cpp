@@ -222,7 +222,6 @@ void RunReport::write(std::ostream& os) const {
     w.member("policy", batch_policy_name(s.policy));
     w.member_object("drain_policy");
     w.member("max_batch", static_cast<std::uint64_t>(s.drain.max_batch));
-    w.member("max_delay_ms", s.drain.max_delay_ms);
     w.end_object();
     w.member("queue_capacity", static_cast<std::uint64_t>(s.queue_capacity));
 
@@ -252,7 +251,6 @@ void RunReport::write(std::ostream& os) const {
     w.member_array("drains");
     for (const DrainRecord& d : r.drains) {
       w.begin_object();
-      w.member("trigger_ms", d.trigger_ms);
       w.member("dispatch_ms", d.dispatch_ms);
       w.member("device", static_cast<std::uint64_t>(d.device));
       w.member("queries", static_cast<std::uint64_t>(d.n_queries));
@@ -262,7 +260,7 @@ void RunReport::write(std::ostream& os) const {
       w.member("transfer_ms", d.transfer_ms);
       w.member("solo_transfer_ms", d.solo_transfer_ms);
       w.member("compute_ms", d.compute_ms);
-      w.member("service_ms", d.service_ms);
+      w.member("service_ms", d.service_ms());
       w.member("residency", static_cast<std::uint64_t>(d.residency));
       w.member("total_chunks", static_cast<std::uint64_t>(d.total_chunks));
       w.member("rounds", static_cast<std::uint64_t>(d.rounds));
@@ -274,7 +272,6 @@ void RunReport::write(std::ostream& os) const {
     w.member_array("sweep");
     for (const ServingSweepPoint& p : s.sweep) {
       w.begin_object();
-      w.member("max_delay_ms", p.max_delay_ms);
       w.member("max_batch", static_cast<std::uint64_t>(p.max_batch));
       w.member("drains", static_cast<std::uint64_t>(p.drains));
       w.member("mean_batch", p.mean_batch);

@@ -42,7 +42,7 @@ namespace tt::obs {
 //   serving -- bench/serving only: one open-loop ServingSession run
 //     (arrival scenario, latency and queue-delay percentiles, queue
 //     gauges, per-drain records with their schedule and amortized-vs-solo
-//     transfer, the drain-cadence sweep).
+//     transfer, the wave-size sweep).
 //   devices -- bench/sharding only: one multi-device sharded run
 //     (per-kernel single-device time vs makespan, per-device partition and
 //     copy/compute overlap, the devices x chunk-size sweep).
@@ -53,7 +53,7 @@ namespace tt::obs {
 // tools/json_validate accepts only this tag, re-derives every block's
 // invariants, and with --golden compares two whole reports with only
 // git_sha normalized.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v13";
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v14";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents

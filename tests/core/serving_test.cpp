@@ -1,11 +1,14 @@
-// The admission--dispatch layer (core/serving.h): drain-policy triggers,
-// ring-buffer drops, device backpressure, warm-replay exactness, arrival
-// trace determinism, and the zero-delay sanity anchor -- a query served
-// alone must pay exactly its solo transfer + modelled compute.
+// The admission--dispatch layer (core/serving.h): work-conserving wave
+// formation and routing, ring-buffer drops, config validation, the shared
+// drain log, warm-replay exactness, arrival trace determinism, and the
+// zero-delay sanity anchor -- a query served alone must pay exactly its
+// solo transfer + modelled compute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,7 +72,6 @@ struct ServingFixtures {
 ServingConfig relaxed_config() {
   ServingConfig cfg;
   cfg.drain.max_batch = 1;
-  cfg.drain.max_delay_ms = 0;
   return cfg;
 }
 
@@ -106,72 +108,237 @@ TEST(ServingSession, ZeroDelayMatchesSoloTransferPlusCompute) {
   for (const DrainRecord& d : r.drains) {
     EXPECT_EQ(d.n_queries, 1u);
     EXPECT_EQ(d.transfer_ms, d.solo_transfer_ms);  // wave of one saves nothing
-    EXPECT_EQ(d.dispatch_ms, d.trigger_ms);
   }
   EXPECT_EQ(r.latency.p50, expect);
   EXPECT_EQ(r.latency.max, expect);
 }
 
 // ---------------------------------------------------------------------
-// Drain-policy triggers.
+// Work-conserving drains: a wave starts at max(oldest pending arrival,
+// earliest device-free time) and takes up to max_batch waiting queries.
 // ---------------------------------------------------------------------
 
-TEST(ServingSession, SizeTriggeredDrainsAdmitExactWaves) {
+TEST(ServingSession, IdleDeviceDispatchesAtArrival) {
   ServingFixtures f;
-  ServingConfig cfg;
-  cfg.drain.max_batch = 2;
-  cfg.drain.max_delay_ms = 100.0;
-  ServingSession session(cfg);
-  for (int i = 0; i < 4; ++i)
+  {
+    SCOPED_TRACE("one device, spaced arrivals");
+    ServingSession session(ServingConfig{});  // max_batch 8: no waiting
+    for (double arrival : {0.0, 10.0, 20.0})
+      ASSERT_TRUE(session.submit(f.pc_query(), arrival));
+    session.flush();
+    const ServingReport r = session.report();
+    ASSERT_EQ(r.drains.size(), 3u);
+    EXPECT_EQ(r.drains[0].dispatch_ms, 0.0);
+    EXPECT_EQ(r.drains[1].dispatch_ms, 10.0);
+    EXPECT_EQ(r.drains[2].dispatch_ms, 20.0);
+    for (double qd : session.queue_delays_ms()) EXPECT_EQ(qd, 0.0);
+  }
+  {
+    SCOPED_TRACE("two devices, device 0 busy");
+    ServingConfig cfg;
+    cfg.devices = 2;
+    ServingSession session(cfg);
     ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-  EXPECT_EQ(session.pending(), 0u);  // both waves fired at size 2
-  session.flush();
-  const ServingReport r = session.report();
-  ASSERT_EQ(r.drains.size(), 2u);
-  for (const DrainRecord& d : r.drains) {
-    EXPECT_EQ(d.n_queries, 2u);
-    EXPECT_EQ(d.trigger_ms, 0.0);
+    ASSERT_TRUE(session.submit(f.pc_query(), 1e-6));  // fires the first
+    session.flush();
+    const ServingReport r = session.report();
+    ASSERT_EQ(r.drains.size(), 2u);
+    EXPECT_EQ(r.drains[0].device, 0u);
+    EXPECT_EQ(r.drains[0].dispatch_ms, 0.0);
+    ASSERT_GT(r.drains[0].service_ms(), 1e-6);  // device 0 still busy
+    EXPECT_EQ(r.drains[1].device, 1u);
+    EXPECT_EQ(r.drains[1].dispatch_ms, 1e-6);
+    EXPECT_EQ(r.drains[1].n_queries, 1u);
+    for (double qd : session.queue_delays_ms()) EXPECT_EQ(qd, 0.0);
   }
 }
 
-TEST(ServingSession, DelayTriggeredDrainFiresAtDeadline) {
+TEST(ServingSession, BusyDeviceReleasesTheBacklogInCappedWaves) {
   ServingFixtures f;
   ServingConfig cfg;
-  cfg.drain.max_batch = 100;
-  cfg.drain.max_delay_ms = 0.5;
+  cfg.drain.max_batch = 3;
   ServingSession session(cfg);
-  ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-  EXPECT_EQ(session.pending(), 1u);
-  // This arrival moves virtual time past the first query's deadline, so
-  // the first wave fires at exactly arrival + max_delay -- without the
-  // second query in it.
-  ASSERT_TRUE(session.submit(f.pc_query(), 10.0));
+  // q0 starts on the idle device at t = 0; q1..q5 arrive while it is
+  // busy, so they wait and leave together when it frees up -- three in
+  // the first wave (the cap), the other two in the next.
+  for (int i = 0; i < 6; ++i)
+    ASSERT_TRUE(session.submit(f.pc_query(), 1e-6 * i));
+  EXPECT_EQ(session.pending(), 5u);
   session.flush();
   const ServingReport r = session.report();
-  ASSERT_EQ(r.drains.size(), 2u);
-  EXPECT_EQ(r.drains[0].trigger_ms, 0.5);
+  ASSERT_EQ(r.drains.size(), 3u);
   EXPECT_EQ(r.drains[0].n_queries, 1u);
-  EXPECT_EQ(r.drains[1].trigger_ms, 10.5);
-  EXPECT_EQ(r.drains[1].n_queries, 1u);
+  EXPECT_EQ(r.drains[0].dispatch_ms, 0.0);
+  ASSERT_GT(r.drains[0].service_ms(), 5e-6);
+  EXPECT_EQ(r.drains[1].n_queries, 3u);
+  EXPECT_EQ(r.drains[1].queue_depth_before, 5u);
+  EXPECT_EQ(r.drains[1].dispatch_ms,
+            r.drains[0].dispatch_ms + r.drains[0].service_ms());
+  EXPECT_EQ(r.drains[2].n_queries, 2u);
+  EXPECT_EQ(r.drains[2].queue_depth_before, 2u);
+  EXPECT_EQ(r.drains[2].dispatch_ms,
+            r.drains[1].dispatch_ms + r.drains[1].service_ms());
+  ASSERT_EQ(session.queue_delays_ms().size(), 6u);
+  EXPECT_EQ(session.queue_delays_ms()[1], r.drains[1].dispatch_ms - 1e-6);
 }
 
-TEST(ServingSession, DeviceBusyDefersDispatchNotTrigger) {
+// Replays the device clocks from the drain log and checks every wave
+// against the policy: it starts at max(its first query's arrival, the
+// earliest device-free time) on that device (ties to the lowest index),
+// and takes every query that has arrived by then, up to max_batch.
+// Checked over a Poisson and a bursty trace on two devices, both loaded
+// enough that some waves batch and both devices serve.
+TEST(ServingSession, EveryWaveStartsAtTheEarliestFreeDevice) {
   ServingFixtures f;
-  ServingConfig cfg = relaxed_config();
-  ServingSession session(cfg);
-  // Both arrive at t=0; waves of one. The second wave's policy fires at 0
-  // but the device is still serving the first, so dispatch waits.
-  ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-  ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-  session.flush();
-  const ServingReport r = session.report();
-  ASSERT_EQ(r.drains.size(), 2u);
-  EXPECT_EQ(r.drains[0].dispatch_ms, 0.0);
-  EXPECT_EQ(r.drains[1].trigger_ms, 0.0);
-  EXPECT_EQ(r.drains[1].dispatch_ms,
-            r.drains[0].dispatch_ms + r.drains[0].service_ms);
-  ASSERT_EQ(session.queue_delays_ms().size(), 2u);
-  EXPECT_EQ(session.queue_delays_ms()[1], r.drains[0].service_ms);
+  const QuerySet pc = f.pc_query();
+  const QuerySet nn = f.nn_query();
+  auto check = [&](const std::vector<double>& trace) {
+    ServingConfig cfg;
+    cfg.devices = 2;
+    cfg.drain.max_batch = 4;
+    ServingSession session(cfg);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      ASSERT_TRUE(session.submit(i % 3 ? pc : nn, trace[i]));
+    session.flush();
+    const ServingReport r = session.report();
+    std::vector<double> free_ms(cfg.devices, 0.0);
+    std::size_t first = 0;
+    std::size_t batched = 0;
+    std::size_t on_device1 = 0;
+    for (std::size_t k = 0; k < r.drains.size(); ++k) {
+      SCOPED_TRACE("drain " + std::to_string(k));
+      const DrainRecord& d = r.drains[k];
+      const auto earliest = static_cast<std::size_t>(
+          std::min_element(free_ms.begin(), free_ms.end()) - free_ms.begin());
+      ASSERT_LT(first, trace.size());
+      EXPECT_EQ(d.device, earliest);
+      EXPECT_EQ(d.dispatch_ms, std::max(trace[first], free_ms[earliest]));
+      std::size_t arrived = 0;
+      while (first + arrived < trace.size() &&
+             trace[first + arrived] <= d.dispatch_ms)
+        ++arrived;
+      EXPECT_LE(d.n_queries, cfg.drain.max_batch);
+      EXPECT_EQ(d.n_queries, std::min(arrived, cfg.drain.max_batch));
+      free_ms[d.device] = d.dispatch_ms + d.service_ms();
+      first += d.n_queries;
+      batched += d.n_queries > 1 ? 1 : 0;
+      on_device1 += d.device == 1 ? 1 : 0;
+    }
+    EXPECT_EQ(first, trace.size());
+    EXPECT_GT(batched, 0u);
+    EXPECT_GT(on_device1, 0u);
+  };
+  {
+    SCOPED_TRACE("poisson");
+    check(poisson_trace(300, 60000.0, 3));
+  }
+  {
+    SCOPED_TRACE("bursty");
+    check(bursty_trace(300, 120000.0, 0.5, 1.0, 4));
+  }
+}
+
+// Past saturation the backlog is what batches: at twice the rate an
+// unbatched device group can serve, waves fill to max_batch and the
+// saved launch overheads buy throughput over a max_batch = 1 session.
+TEST(ServingSession, OverloadFillsWavesAndBeatsUnbatchedThroughput) {
+  ServingFixtures f;
+  const QuerySet pc = f.pc_query();
+  const QuerySet nn = f.nn_query();
+  const DeviceConfig dev;
+  const TransferModel transfer;
+  const GpuMode mode = GpuMode::from(Variant::kAutoNolockstep);
+  const double mean_solo_ms =
+      0.5 * (run_gpu_sim(*f.pc, f.pc_space, dev, mode).time.total_ms +
+             transfer.round_trip_ms(pc.upload_bytes, pc.download_bytes, 1) +
+             run_gpu_sim(*f.nn, f.nn_space, dev, mode).time.total_ms +
+             transfer.round_trip_ms(nn.upload_bytes, nn.download_bytes, 1));
+  const std::size_t devices = 2;
+  const double saturation_qps =
+      static_cast<double>(devices) * 1e3 / mean_solo_ms;
+  const std::vector<double> trace =
+      poisson_trace(400, 2.0 * saturation_qps, 5);
+  auto serve = [&](std::size_t max_batch) {
+    ServingConfig cfg;
+    cfg.devices = devices;
+    cfg.drain.max_batch = max_batch;
+    ServingSession session(cfg);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      EXPECT_TRUE(session.submit(i % 2 ? nn : pc, trace[i]));
+    session.flush();
+    return session.report();
+  };
+  const ServingReport batched = serve(8);
+  const ServingReport single = serve(1);
+  ASSERT_EQ(batched.completed, trace.size());
+  ASSERT_EQ(single.completed, trace.size());
+  std::size_t full = 0;
+  for (const DrainRecord& d : batched.drains) full += d.n_queries == 8u;
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(batched.throughput_qps(), single.throughput_qps());
+}
+
+// ---------------------------------------------------------------------
+// The drain log: a report's drains are a view of the session's
+// append-only log -- no copy, and still valid (same count, same values)
+// after later submits and after the session is gone.
+// ---------------------------------------------------------------------
+
+TEST(ServingSession, ReportKeepsItsDrainsAfterSubmitsAndSessionEnd) {
+  ServingFixtures f;
+  const QuerySet pc = f.pc_query();
+  auto session = std::make_unique<ServingSession>(relaxed_config());
+  for (double arrival : {0.0, 10.0, 20.0})
+    ASSERT_TRUE(session->submit(pc, arrival));
+  const ServingReport mid = session->report();  // drains at 0 and 10
+  ASSERT_EQ(mid.drains.size(), 2u);
+  const std::vector<DrainRecord> mid_copy(mid.drains.begin(),
+                                          mid.drains.end());
+  for (double arrival : {30.0, 40.0, 50.0})
+    ASSERT_TRUE(session->submit(pc, arrival));
+  session->flush();
+  const ServingReport all = session->report();
+  ASSERT_EQ(all.drains.size(), 6u);
+  session.reset();
+
+  auto same = [](const DrainRecord& a, const DrainRecord& b) {
+    return a.dispatch_ms == b.dispatch_ms && a.transfer_ms == b.transfer_ms &&
+           a.compute_ms == b.compute_ms && a.n_queries == b.n_queries &&
+           a.cold_launches == b.cold_launches && a.device == b.device;
+  };
+  ASSERT_EQ(mid.drains.size(), 2u);
+  for (std::size_t i = 0; i < mid_copy.size(); ++i) {
+    EXPECT_TRUE(same(mid.drains[i], mid_copy[i])) << "drain " << i;
+    EXPECT_TRUE(same(all.drains[i], mid_copy[i])) << "drain " << i;
+  }
+  EXPECT_EQ(mid.drains.front().dispatch_ms, 0.0);
+  EXPECT_EQ(mid.drains.back().dispatch_ms, 10.0);
+  EXPECT_EQ(all.drains.back().dispatch_ms, 50.0);
+}
+
+// ---------------------------------------------------------------------
+// Bad configuration fails loudly, naming the field.
+// ---------------------------------------------------------------------
+
+TEST(ServingSession, RejectsZeroBatchDevicesOrCapacity) {
+  auto rejects = [](ServingConfig cfg, const std::string& field) {
+    try {
+      ServingSession session(std::move(cfg));
+      ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  ServingConfig no_batch;
+  no_batch.drain.max_batch = 0;
+  rejects(no_batch, "drain.max_batch");
+  ServingConfig no_devices;
+  no_devices.devices = 0;
+  rejects(no_devices, "devices");
+  ServingConfig no_ring;
+  no_ring.queue_capacity = 0;
+  rejects(no_ring, "queue_capacity");
 }
 
 // ---------------------------------------------------------------------
@@ -182,7 +349,6 @@ TEST(ServingSession, FullRingDropsAndCounts) {
   ServingFixtures f;
   ServingConfig cfg;
   cfg.drain.max_batch = 100;
-  cfg.drain.max_delay_ms = 10.0;
   cfg.queue_capacity = 2;
   ServingSession session(cfg);
   EXPECT_TRUE(session.submit(f.pc_query(), 0.0));
@@ -296,7 +462,6 @@ TEST(ServingSession, SameTraceSameReport) {
   auto run = [&]() {
     ServingConfig cfg;
     cfg.drain.max_batch = 4;
-    cfg.drain.max_delay_ms = 0.25;
     ServingSession session(cfg);
     for (std::size_t i = 0; i < trace.size(); ++i)
       EXPECT_TRUE(
@@ -314,7 +479,7 @@ TEST(ServingSession, SameTraceSameReport) {
   for (std::size_t i = 0; i < ra.drains.size(); ++i) {
     EXPECT_EQ(ra.drains[i].dispatch_ms, rb.drains[i].dispatch_ms);
     EXPECT_EQ(ra.drains[i].n_queries, rb.drains[i].n_queries);
-    EXPECT_EQ(ra.drains[i].service_ms, rb.drains[i].service_ms);
+    EXPECT_EQ(ra.drains[i].service_ms(), rb.drains[i].service_ms());
   }
 }
 
@@ -328,7 +493,6 @@ TEST(ServingSession, WaveTransferAmortizesLaunchOverhead) {
     const std::size_t n = queries.size();
     ServingConfig cfg;
     cfg.drain.max_batch = n;
-    cfg.drain.max_delay_ms = 10.0;
     ServingSession session(cfg);
     for (QuerySet& q : queries)
       ASSERT_TRUE(session.submit(std::move(q), 0.0));

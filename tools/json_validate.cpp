@@ -514,8 +514,9 @@ int check_latency_summary(const std::string& at, const JsonValue& s) {
 
 // The optional serving block: admission accounting must balance
 // (completed + dropped == submitted, per-drain query counts sum to
-// completed), both percentile summaries must be monotone, and every queue
-// gauge must be non-negative.
+// completed), no drain may exceed drain_policy.max_batch, dispatch times
+// never decrease, both percentile summaries must be monotone, and every
+// queue gauge must be non-negative.
 int check_serving(const JsonValue& serving) {
   if (!serving.is_object()) return fail("\"serving\" is not an object");
   for (const char* field :
@@ -558,6 +559,11 @@ int check_serving(const JsonValue& serving) {
   if (serving.find("occupancy")->as_number() < 0)
     return fail("serving.occupancy: negative");
 
+  const JsonValue* policy = serving.find("drain_policy");
+  if (!policy->is_object() || !policy->find("max_batch"))
+    return fail("serving.drain_policy: missing \"max_batch\"");
+  const std::uint64_t max_batch = policy->find("max_batch")->as_uint();
+
   const JsonValue* drains = serving.find("drains");
   if (!drains->is_array()) return fail("serving.drains: not an array");
   std::uint64_t drained = 0;
@@ -566,19 +572,21 @@ int check_serving(const JsonValue& serving) {
     const JsonValue& d = *drains->arr_v[i];
     const std::string at = "serving.drains[" + std::to_string(i) + "]";
     for (const char* field :
-         {"trigger_ms", "dispatch_ms", "device", "queries",
+         {"dispatch_ms", "device", "queries",
           "queue_depth_before", "cold_launches", "transfer_ms",
           "solo_transfer_ms", "compute_ms", "service_ms", "residency",
           "total_chunks", "rounds", "switches"})
       if (!d.find(field)) return fail(at + ": missing \"" + field + "\"");
     const std::uint64_t q = d.find("queries")->as_uint();
     if (q == 0) return fail(at + ": empty drain");
+    if (q > max_batch)
+      return fail(at + ": " + std::to_string(q) +
+                  " queries exceed drain_policy.max_batch " +
+                  std::to_string(max_batch));
     if (d.find("device")->as_uint() >= serving.find("devices")->as_uint())
       return fail(at + ": device index out of range");
     drained += q;
     const double dispatch = d.find("dispatch_ms")->as_number();
-    if (dispatch < d.find("trigger_ms")->as_number())
-      return fail(at + ": dispatch_ms precedes trigger_ms");
     if (i > 0 && dispatch < prev_dispatch)
       return fail(at + ": dispatch times not non-decreasing");
     prev_dispatch = dispatch;
@@ -597,7 +605,7 @@ int check_serving(const JsonValue& serving) {
       const JsonValue& p = *sweep->arr_v[i];
       const std::string at = "serving.sweep[" + std::to_string(i) + "]";
       for (const char* field :
-           {"max_delay_ms", "max_batch", "drains", "mean_batch", "p50_ms",
+           {"max_batch", "drains", "mean_batch", "p50_ms",
             "p95_ms", "p99_ms", "throughput_qps", "transfer_saved_ms"})
         if (!p.find(field)) return fail(at + ": missing \"" + field + "\"");
       if (!(p.find("p50_ms")->as_number() <=
