@@ -11,11 +11,14 @@
 // deterministic for a given seed (and byte-identical across
 // OMP_NUM_THREADS settings).
 //
-// Identical resubmissions of a (kernel, mode) pair replay the first
-// execution's measurements -- exact, because batching is results-neutral
-// -- so traces with millions of queries cost O(pool size) simulations.
+// The session decides each (kernel, mode) pair once: its first query
+// samples and pays the section-4.4 prologue, and identical resubmissions
+// replay the dispatched composition's measurements -- exact, because
+// batching is results-neutral -- so traces with millions of queries cost
+// O(pool size) simulations.
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_common.h"
@@ -32,8 +35,11 @@ struct PoolEntry {
   std::unique_ptr<PreparedKernel> kernel;
 };
 
-// Mean solo service time (one amortized round trip + modelled compute) of
-// the pool -- the capacity estimate behind --rate-qps=0's auto rate.
+// Mean solo service time of the pool as a replayed query pays it: one
+// round trip + the dispatched composition's modelled time, without the
+// sampling prologue only a pair's first query pays. One device's
+// capacity is its inverse -- the estimate behind --rate-qps=0's auto rate.
+// A probe launch that fails throws with its error.
 double probe_mean_service_ms(const std::vector<PoolEntry>& pool,
                              const DeviceConfig& device,
                              const TransferModel& transfer,
@@ -51,7 +57,8 @@ double probe_mean_service_ms(const std::vector<PoolEntry>& pool,
   double sum = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const LaunchResult& r = probe.launches[i];
-    sum += (r.ok() ? r.time.total_ms : 0.0) +
+    if (!r.ok()) throw std::runtime_error("auto rate probe: " + r.error);
+    sum += r.time.kernel_ms() +
            transfer.round_trip_ms(pool[i].kernel->upload_bytes,
                                   pool[i].kernel->download_bytes, 1);
   }
@@ -92,10 +99,12 @@ int main(int argc, char** argv) {
                  "arrival process: poisson or bursty (on-off modulated)");
   cli.add_double("rate-qps", 0.0,
                  "mean arrival rate in queries per modelled second "
-                 "(0 = auto: --utilization of the probed pool capacity)");
+                 "(0 = auto: --utilization of the probed capacity of "
+                 "--devices devices)");
   cli.add_double("utilization", 0.7,
-                 "auto-rate target: fraction of the pool's probed solo "
-                 "service capacity");
+                 "auto-rate target: fraction of the group's probed "
+                 "capacity (--devices x one device's replayed service "
+                 "rate)");
   cli.add_double("burst-on-ms", 2.0, "bursty: ON-window length");
   cli.add_double("burst-off-ms", 2.0, "bursty: silent gap between windows");
   cli.add_double("burst-factor", 4.0,
@@ -149,14 +158,20 @@ int main(int argc, char** argv) {
     const DeviceConfig device;
     const TransferModel transfer;
 
+    if (cli.get_int("devices") <= 0)
+      throw std::invalid_argument("--devices must be >= 1");
+    const auto devices = static_cast<std::size_t>(cli.get_int("devices"));
+
     double rate_qps = cli.get_double("rate-qps");
     if (rate_qps <= 0) {
       const double mean_ms =
           probe_mean_service_ms(pool, device, transfer, mode);
-      rate_qps = cli.get_double("utilization") * 1e3 / mean_ms;
+      rate_qps = cli.get_double("utilization") *
+                 static_cast<double>(devices) * 1e3 / mean_ms;
       std::cerr << "# auto rate: pool mean service "
-                << fmt_fixed(mean_ms, 3) << " ms -> "
-                << fmt_fixed(rate_qps, 1) << " qps at utilization "
+                << fmt_fixed(mean_ms, 3) << " ms x " << devices
+                << " device(s) -> " << fmt_fixed(rate_qps, 1)
+                << " qps at utilization "
                 << fmt_fixed(cli.get_double("utilization"), 2) << "\n";
     }
 
@@ -190,9 +205,7 @@ int main(int argc, char** argv) {
     if (capacity <= 0)
       throw std::invalid_argument("--queue-capacity must be >= 1");
     scfg.queue_capacity = static_cast<std::size_t>(capacity);
-    if (cli.get_int("devices") <= 0)
-      throw std::invalid_argument("--devices must be >= 1");
-    scfg.devices = static_cast<std::size_t>(cli.get_int("devices"));
+    scfg.devices = devices;
     if (cli.get_int("shard-chunk") < 0)
       throw std::invalid_argument("--shard-chunk must be >= 0");
     scfg.shard_chunk = static_cast<std::size_t>(cli.get_int("shard-chunk"));

@@ -80,7 +80,7 @@ PY
 # BENCH_serving.json. The headline is an open-loop Poisson trace at a
 # pinned 400 qps, where nearly every query finds a device idle (the
 # latency floor); "loaded" is a bursty trace averaging ~60k qps on two
-# devices (~90% occupancy), where waves form behind busy devices and the
+# devices (~77% occupancy), where waves form behind busy devices and the
 # wave-size (max_batch) sweep shows what the cap trades. Everything in it
 # is modelled time, so the file only changes when behavior does.
 serving_out="${2:-$repo/BENCH_serving.json}"

@@ -93,12 +93,9 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
   }
   const DeviceAssignment asg = assign_devices(costs, cfg.devices, cfg.policy);
 
-  // The baseline's executed composition, with spec.mode's ablation knobs
-  // kept -- the per-device runs must not re-roll the auto_select dice.
-  GpuMode mode = spec.mode;
-  mode.auto_select = false;
-  mode.autoropes = variant_is_autoropes(base.variant);
-  mode.lockstep = variant_is_lockstep(base.variant);
+  // The baseline's executed composition -- the per-device runs must not
+  // re-roll the auto_select dice.
+  const GpuMode mode = dispatched_mode(spec.mode, base.variant);
 
   // Canonical-order merge target; stats/time/selection stay the baseline's.
   out.merged.kernel_name = base.kernel_name;

@@ -14,13 +14,13 @@
 //     ConvergencePolicy composition table.
 //
 //   sampling_launch_cycles / price_compositions / resolve_auto_select /
-//   charge_sampling / finish_launch
+//   dispatched_mode / charge_sampling / finish_launch
 //     The section-4.4 decision taken before a launch (sampler report ->
 //     both compositions' predicted time -> resolved GpuMode +
-//     SelectionInfo), the sampler's cost (its sampling launch, charged as a
-//     serial prologue), and the epilogue every launch shares: merge the
-//     per-slot counters, run the cost model, charge the sampler, build the
-//     profile.
+//     SelectionInfo), the concrete mode a decided launch re-runs as, the
+//     sampler's cost (its sampling launch, charged as a serial prologue),
+//     and the epilogue every launch shares: merge the per-slot counters,
+//     run the cost model, charge the sampler, build the profile.
 //
 //   LaunchRun / TypedLaunchRun<K>
 //     One launch's execution state: the only place that sizes the stack
@@ -240,6 +240,22 @@ struct ResolvedLaunch {
   SelectionInfo selection;
 };
 
+// The concrete mode a launch of `requested` dispatched when it executed
+// `executed`: an auto_select request becomes that autoropes composition
+// with every ablation knob kept (grid_limit, stack placement, ...), so a
+// caller that re-runs a decided launch -- the sharded devices, a serving
+// session's later admissions -- runs exactly what the decision chose and
+// never samples again. Any other mode is already concrete and comes back
+// unchanged.
+[[nodiscard]] constexpr GpuMode dispatched_mode(GpuMode requested,
+                                                Variant executed) {
+  if (!requested.auto_select) return requested;
+  requested.auto_select = false;
+  requested.autoropes = variant_is_autoropes(executed);
+  requested.lockstep = variant_is_lockstep(executed);
+  return requested;
+}
+
 // The sampler's modelled cost: the small launch a GPU would run before
 // the traversal kernel. Its lanes are the sampled traversals in
 // ProfileReport order (sample s on lanes 2s and 2s+1), packed into
@@ -347,9 +363,9 @@ struct CompositionPrices {
   const std::size_t n_warps = (n_points + ws - 1) / ws;
   const CompositionPrices price =
       price_compositions(p.warps, n_warps, launch_grid(mode, n_warps), cfg);
-  mode.auto_select = false;
-  mode.autoropes = true;
-  mode.lockstep = price.lockstep_cheaper();
+  mode = dispatched_mode(mode, price.lockstep_cheaper()
+                                   ? Variant::kAutoLockstep
+                                   : Variant::kAutoNolockstep);
   SelectionInfo sel;
   sel.mean_similarity = p.mean_similarity;
   sel.baseline_similarity = p.baseline_similarity;
@@ -370,7 +386,7 @@ inline void charge_sampling(const SelectionInfo& sel, const DeviceConfig& cfg,
                             KernelStats& stats, TimeBreakdown& time) {
   stats.note_sampling_cycles(sel.sampling_cycles);
   time.select_ms = sel.sampling_cycles / (cfg.clock_ghz * 1e6);
-  time.total_ms = time.select_ms + std::max(time.compute_ms, time.memory_ms);
+  time.total_ms = time.select_ms + time.kernel_ms();
 }
 
 // A finished launch's merged counters, modelled time and (when a profile

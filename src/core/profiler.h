@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/rope_stack.h"
@@ -259,67 +260,68 @@ class CommitModel {
 // launches registered their arenas in the address space first.
 inline constexpr std::uint64_t kSampledStackBase = std::uint64_t{1} << 40;
 
-// The two segment streams of one sampled warp (SampledWarp), from its
-// lanes' records. Non-lockstep (LoopHeadReconvergence over LaneRopeStack):
-// step t pops every live lane's t-th entry, then commits those visits'
-// loads, then their children's loads with the pushes. Lockstep
-// (WarpAndTruncation over a shared-memory WarpStack): the union of the
-// lanes' visit sets in node-id order -- the left-biased DFS order an
-// unguided union traversal pops -- each node committing its lanes' loads,
-// then the first descending lane's children loads; kernels with per-lane
-// arguments add their interleaved argument-plane reads and writes.
+// One of the two segment streams of a sampled warp (SampledWarp), from
+// its lanes' records; both open the chunk with every lane's init loads.
+// Non-lockstep (LoopHeadReconvergence over LaneRopeStack, into
+// nolockstep_segments): step t pops every live lane's t-th entry, then
+// commits those visits' loads, then their children's loads with the
+// pushes; it reads w.longest. Lockstep (WarpAndTruncation over a
+// shared-memory WarpStack, into lockstep_segments and callset_votes): the
+// union of the lanes' visit sets in node-id order -- the left-biased DFS
+// order an unguided union traversal pops -- each node committing its
+// lanes' loads, then the first descending lane's children loads; kernels
+// with per-lane arguments add their interleaved argument-plane reads and
+// writes. The two streams write disjoint members of `w`, so they can be
+// modelled concurrently.
 template <TraversalKernel K>
-void model_warp_streams(const K& k, std::span<const LaneRecord> lanes,
-                        const DeviceConfig& cfg, SampledWarp& w) {
+void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
+                       const DeviceConfig& cfg, bool lockstep,
+                       SampledWarp& w) {
   CommitModel m(static_cast<std::uint32_t>(cfg.transaction_bytes),
                 kernel_shares_node_loads<K>);
   const auto ws = static_cast<std::uint32_t>(cfg.warp_size);
   // The warp's arena region, at the offset a one-chunk-per-warp grid
   // gives it: spans need not be segment multiples, so where a region
   // starts decides how its levels straddle segments.
-  auto arena = [&](bool lockstep) {
-    return kSampledStackBase +
-           warp_arena_span(k.stack_bound(), arena_entry_bytes<K>(lockstep),
-                           cfg) *
-               (w.first_point / ws);
-  };
-  auto slot = [&](std::uint64_t base, std::uint32_t level, std::uint32_t lane,
-                  std::uint32_t entry) {
+  const std::uint32_t entry = arena_entry_bytes<K>(lockstep);
+  const std::uint64_t base =
+      kSampledStackBase +
+      warp_arena_span(k.stack_bound(), entry, cfg) * (w.first_point / ws);
+  auto slot = [&](std::uint32_t level, std::uint32_t lane) {
     return SampledAccess{
         kStackGroup, base + interleaved_stack_offset(level, lane, ws, entry),
         entry};
   };
   const auto n_lanes = static_cast<std::uint32_t>(lanes.size());
-
-  // Both compositions open the chunk with every lane's init loads.
+  std::vector<std::uint64_t>& out =
+      lockstep ? w.lockstep_segments : w.nolockstep_segments;
   for (std::uint32_t l = 0; l < n_lanes; ++l)
     m.add(l, lanes[l], 0, lanes[l].init_end);
-  m.commit(w.nolockstep_segments);
-  w.lockstep_segments = w.nolockstep_segments;
+  m.commit(out);
 
-  std::vector<std::uint64_t>& nolock = w.nolockstep_segments;
-  const std::uint64_t lane_base = arena(false);
-  const std::uint32_t lane_entry = arena_entry_bytes<K>(false);
-  for (std::uint32_t t = 0; t < w.longest; ++t) {
-    for (std::uint32_t l = 0; l < n_lanes; ++l)
-      if (t < lanes[l].visits.size())
-        m.add(l, slot(lane_base, lanes[l].visits[t].level, l, lane_entry));
-    m.commit(nolock);
-    for (std::uint32_t l = 0; l < n_lanes; ++l)
-      if (t < lanes[l].visits.size()) {
+  if (!lockstep) {
+    for (std::uint32_t t = 0; t < w.longest; ++t) {
+      for (std::uint32_t l = 0; l < n_lanes; ++l)
+        if (t < lanes[l].visits.size())
+          m.add(l, slot(lanes[l].visits[t].level, l));
+      m.commit(out);
+      for (std::uint32_t l = 0; l < n_lanes; ++l)
+        if (t < lanes[l].visits.size()) {
+          const LaneVisit& v = lanes[l].visits[t];
+          m.add(l, lanes[l], v.loads_begin, v.children_begin);
+        }
+      m.commit(out);
+      for (std::uint32_t l = 0; l < n_lanes; ++l) {
+        if (t >= lanes[l].visits.size()) continue;
         const LaneVisit& v = lanes[l].visits[t];
-        m.add(l, lanes[l], v.loads_begin, v.children_begin);
+        if (!v.descended) continue;
+        m.add(l, lanes[l], v.children_begin, v.end);
+        for (std::uint32_t j = 0; j < v.children; ++j)
+          m.add(l, slot(v.level + j, l));
       }
-    m.commit(nolock);
-    for (std::uint32_t l = 0; l < n_lanes; ++l) {
-      if (t >= lanes[l].visits.size()) continue;
-      const LaneVisit& v = lanes[l].visits[t];
-      if (!v.descended) continue;
-      m.add(l, lanes[l], v.children_begin, v.end);
-      for (std::uint32_t j = 0; j < v.children; ++j)
-        m.add(l, slot(lane_base, v.level + j, l, lane_entry));
+      m.commit(out);
     }
-    m.commit(nolock);
+    return;
   }
 
   struct At {
@@ -334,9 +336,6 @@ void model_warp_streams(const K& k, std::span<const LaneRecord> lanes,
   std::sort(order.begin(), order.end(), [](const At& a, const At& b) {
     return a.node != b.node ? a.node < b.node : a.lane < b.lane;
   });
-  std::vector<std::uint64_t>& lock = w.lockstep_segments;
-  const std::uint64_t plane_base = arena(true);
-  const std::uint32_t plane_entry = arena_entry_bytes<K>(true);
   auto visit_of = [&](const At& a) -> const LaneVisit& {
     return lanes[a.lane].visits[a.visit];
   };
@@ -346,13 +345,12 @@ void model_warp_streams(const K& k, std::span<const LaneRecord> lanes,
     const std::uint32_t level = visit_of(order[i]).level;
     for (std::size_t e = i; e < j; ++e) {
       if constexpr (kernel_has_lane_arg<K>)
-        m.add(order[e].lane,
-              slot(plane_base, level, order[e].lane, plane_entry));
+        m.add(order[e].lane, slot(level, order[e].lane));
       const LaneVisit& v = visit_of(order[e]);
       m.add(order[e].lane, lanes[order[e].lane], v.loads_begin,
             v.children_begin);
     }
-    m.commit(lock);
+    m.commit(out);
     const auto leader =
         std::find_if(order.begin() + static_cast<std::ptrdiff_t>(i),
                      order.begin() + static_cast<std::ptrdiff_t>(j),
@@ -361,14 +359,13 @@ void model_warp_streams(const K& k, std::span<const LaneRecord> lanes,
       if constexpr (K::kNumCallSets > 1) ++w.callset_votes;
       const LaneVisit& v = visit_of(*leader);
       m.add(leader->lane, lanes[leader->lane], v.children_begin, v.end);
-      m.commit(lock);
+      m.commit(out);
       if constexpr (kernel_has_lane_arg<K>) {
         for (std::size_t e = i; e < j; ++e)
           if (visit_of(order[e]).descended)
             for (std::uint32_t c = 0; c < v.children; ++c)
-              m.add(order[e].lane, slot(plane_base, level + c, order[e].lane,
-                                        plane_entry));
-        m.commit(lock);
+              m.add(order[e].lane, slot(level + c, order[e].lane));
+        m.commit(out);
       }
     }
     i = j;
@@ -412,14 +409,12 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
   const auto ws = static_cast<std::size_t>(cfg.warp_size);
   const std::size_t run_cap = std::max<std::size_t>(2, ws & ~std::size_t{1});
   const auto starts = static_cast<std::uint32_t>((n - 2) / ws + 1);
-  Pcg32 rng(seed, 11);
   const std::size_t total = 2 * samples;
-  r.traversal_visits.reserve(total);
-  std::vector<std::vector<NodeId>> nodes;  // per lane
-  nodes.reserve(total);
   const std::size_t strata = (total + run_cap - 1) / run_cap;
-  std::vector<detail::LaneRecord> run;
-  std::vector<NodeId> all;
+
+  // Draw every run first, from the one Pcg32 sequence, so which points are
+  // sampled never depends on how the work below is scheduled.
+  Pcg32 rng(seed, 11);
   for (std::size_t lane = 0, drawn = 0; lane < total; ++drawn) {
     const std::size_t stratum = drawn % strata;
     const auto lo = static_cast<std::uint32_t>(stratum * starts / strata);
@@ -427,19 +422,33 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
         static_cast<std::uint32_t>((stratum + 1) * starts / strata);
     const std::uint32_t w =
         hi > lo ? lo + rng.next_below(hi - lo) : rng.next_below(starts);
-    SampledWarp sw;
+    SampledWarp& sw = r.warps.emplace_back();
     const std::size_t first = static_cast<std::size_t>(w) * ws;
     sw.first_point = static_cast<std::uint32_t>(first);
     sw.lanes = static_cast<std::uint32_t>(
         std::min({run_cap, total - lane, n - first}) & ~std::size_t{1});
-    run.clear();
+    lane += sw.lanes;
+  }
+
+  // Run by run, record the lanes and then model the run's two streams on
+  // the OpenMP team; only one run's records are held at a time, and every
+  // item writes only its own slot, so the report is byte-identical for any
+  // thread count. The similarity pairs below need each lane's node ids.
+  r.traversal_visits.reserve(total);
+  std::vector<std::vector<NodeId>> nodes;  // per lane
+  nodes.reserve(total);
+  std::vector<detail::LaneRecord> run;
+  std::vector<NodeId> all;
+  for (SampledWarp& sw : r.warps) {
+    run.resize(sw.lanes);
+#pragma omp parallel for schedule(dynamic, 1)
+    for (std::int64_t l = 0; l < static_cast<std::int64_t>(sw.lanes); ++l)
+      run[static_cast<std::size_t>(l)] = detail::record_lane(
+          k, sw.first_point + static_cast<std::uint32_t>(l), space);
     all.clear();
-    for (std::uint32_t i = 0; i < sw.lanes; ++i) {
-      run.push_back(detail::record_lane(
-          k, static_cast<std::uint32_t>(first + i), space));
+    for (const detail::LaneRecord& lr : run) {
       std::vector<NodeId>& seen = nodes.emplace_back();
-      for (const detail::LaneVisit& v : run.back().visits)
-        seen.push_back(v.node);
+      for (const detail::LaneVisit& v : lr.visits) seen.push_back(v.node);
       const auto visits = static_cast<std::uint32_t>(seen.size());
       r.traversal_visits.push_back(visits);
       sw.lane_visits += visits;
@@ -449,25 +458,40 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
     std::sort(all.begin(), all.end());
     sw.union_visits = static_cast<std::uint64_t>(
         std::unique(all.begin(), all.end()) - all.begin());
-    if (space) detail::model_warp_streams(k, run, cfg, sw);
+    if (space) {
+#pragma omp parallel for schedule(dynamic, 1)
+      for (int lockstep = 0; lockstep < 2; ++lockstep)
+        detail::model_warp_stream(k, run, cfg, lockstep == 1, sw);
+    }
     r.sampled_visits += sw.lane_visits;
-    lane += sw.lanes;
-    r.warps.push_back(std::move(sw));
   }
 
-  double adjacent = 0;
+  // The similarity pairs, each scored on its own slot and summed in pair
+  // order: the adjacent (pid, pid + 1) pairs, then the random-pair
+  // baseline.
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t s = 0; s < samples; ++s)
-    adjacent += traversal_jaccard(nodes[2 * s], nodes[2 * s + 1]);
-  double baseline = 0;
-  std::size_t baseline_pairs = 0;
+    pairs.emplace_back(2 * s, 2 * s + 1);
   for (std::size_t i = 0, lane = 0; i + 1 < r.warps.size(); ++i) {
     const std::size_t next = lane + r.warps[i].lanes;
     const std::uint32_t common =
         std::min(r.warps[i].lanes, r.warps[i + 1].lanes);
-    for (std::uint32_t off = 0; off < common; off += 2, ++baseline_pairs)
-      baseline += traversal_jaccard(nodes[lane + off], nodes[next + off]);
+    for (std::uint32_t off = 0; off < common; off += 2)
+      pairs.emplace_back(lane + off, next + off);
     lane = next;
   }
+  std::vector<double> jaccard(pairs.size());
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::int64_t p = 0; p < static_cast<std::int64_t>(pairs.size()); ++p) {
+    const auto [a, b] = pairs[static_cast<std::size_t>(p)];
+    jaccard[static_cast<std::size_t>(p)] =
+        traversal_jaccard(nodes[a], nodes[b]);
+  }
+  double adjacent = 0;
+  for (std::size_t p = 0; p < samples; ++p) adjacent += jaccard[p];
+  double baseline = 0;
+  for (std::size_t p = samples; p < pairs.size(); ++p) baseline += jaccard[p];
+  const std::size_t baseline_pairs = pairs.size() - samples;
   r.samples = samples;
   r.mean_similarity = samples ? adjacent / static_cast<double>(samples) : 0.0;
   r.baseline_similarity =

@@ -207,7 +207,8 @@ ServingSession::ServingSession(ServingConfig cfg)
   ring_.resize(cfg_.queue_capacity);
 }
 
-ServingSession::CacheKey ServingSession::cache_key(const LaunchSpec& spec) {
+ServingSession::DecisionKey ServingSession::decision_key(
+    const LaunchSpec& spec) {
   return {spec.kernel.get(), spec.mode};
 }
 
@@ -288,11 +289,13 @@ void ServingSession::fire(double start_ms) {
   wave_.clear();
   for (std::size_t i = 0; i < n; ++i) wave_.push_back(pop_front());
 
-  // Classify cold (execute) vs warm (replay cached measurements). A wave
-  // that opens Chrome tracks executes everything cold so the trace shows
-  // real warp activity; caching the executed stats is always sound --
-  // batching is results-neutral, so they match what solo would measure.
-  // Only cold launches copy their spec.
+  // Classify cold (execute) vs warm (replay the decided measurements). A
+  // query whose pair is decided runs as the decided composition: replayed,
+  // or -- with replay off, its own sinks, or a wave that opens Chrome
+  // tracks so the trace shows real warp activity -- executed as that
+  // concrete mode, never sampling again. Keeping the executed stats is
+  // always sound: batching is results-neutral, so they match what solo
+  // would measure. Only cold launches copy their spec.
   const std::size_t drain_index = drains_->size();
   const bool tracing = cfg_.chrome && drain_index < cfg_.max_drain_tracks;
   admits_.assign(n, Measured{});
@@ -300,16 +303,16 @@ void ServingSession::fire(double start_ms) {
   cold_to_admit_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const LaunchSpec& spec = wave_[i].q.spec;
+    const auto decided = decisions_.find(decision_key(spec));
     const bool own_sinks = spec.trace != nullptr || spec.profile != nullptr;
-    if (cfg_.reuse_identical && !own_sinks && !tracing) {
-      auto it = cache_.find(cache_key(spec));
-      if (it != cache_.end()) {
-        admits_[i] = it->second.measured;
-        continue;
-      }
+    if (decided != decisions_.end() && cfg_.reuse_identical && !own_sinks &&
+        !tracing) {
+      admits_[i] = decided->second.measured;
+      continue;
     }
     cold_to_admit_.push_back(i);
     cold_.push_back(spec);
+    if (decided != decisions_.end()) cold_.back().mode = decided->second.mode;
     if (tracing && !spec.trace)
       cold_.back().trace = &cfg_.chrome->begin_launch(
           "drain" + std::to_string(drain_index) + "/" + spec.kernel->name());
@@ -323,14 +326,18 @@ void ServingSession::fire(double start_ms) {
     const LaunchResult& r = pool.launches[c];
     Measured& m = admits_[cold_to_admit_[c]];
     m.shape = pool.shapes[c];
-    m.variant = r.variant;
     m.total_ms = r.ok() ? r.time.total_ms : 0.0;
     m.ok = r.ok();
-    if (cfg_.reuse_identical) {
-      // Pin the handle: the cache key is its address (see CachedLaunch).
-      const LaunchSpec& spec = wave_[cold_to_admit_[c]].q.spec;
-      cache_.insert_or_assign(cache_key(spec), CachedLaunch{spec.kernel, m});
-    }
+    // A pair's first execution decides it; its own charge above keeps the
+    // prologue, the decision's measurement does not. Pins the handle: the
+    // key is its address (see Decision).
+    const LaunchSpec& spec = wave_[cold_to_admit_[c]].q.spec;
+    Measured dispatched = m;
+    dispatched.total_ms = r.ok() ? r.time.kernel_ms() : 0.0;
+    decisions_.try_emplace(
+        decision_key(spec),
+        Decision{spec.kernel, dispatched_mode(spec.mode, r.variant),
+                 dispatched});
   }
   cold_.clear();
 

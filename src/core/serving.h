@@ -26,10 +26,15 @@
 //     per-query completion times from the simulated cost model:
 //     queueing delay (dispatch - arrival, i.e. waiting for a device to go
 //     idle) + the wave's amortized transfer + the launch's modelled
-//     compute. Identical resubmissions of a (kernel, mode) pair replay
-//     the first execution's measurements -- exact, because batching is
-//     results-neutral by construction -- which is what makes
-//     million-query traces affordable.
+//     compute. The session decides each (kernel, mode) pair once: its
+//     first execution takes the section-4.4 decision (sampling, and
+//     paying the prologue, when the mode is auto_select), and every later
+//     admission of the pair runs as the composition it dispatched, charged
+//     that composition's own time. Such a resubmission replays the decided
+//     measurements -- exact, because batching is results-neutral by
+//     construction -- which is what makes million-query traces
+//     affordable; when it must execute instead it runs the decided mode
+//     and never samples again, so its latency is the same.
 //
 // All times on this layer are *modelled* milliseconds (cost model +
 // TransferModel), so every serving number is deterministic for a given
@@ -127,9 +132,13 @@ struct ServingConfig {
   // dispatched. A submit that finds the ring full is dropped (counted,
   // never silently).
   std::size_t queue_capacity = 4096;
-  // Replay cached measurements for identical (kernel, mode) resubmissions
-  // instead of re-simulating. Exact by the results-neutrality contract;
-  // queries carrying their own trace/profile sinks always execute.
+  // Replay the decided measurements for identical (kernel, mode)
+  // resubmissions instead of re-simulating. Exact by the
+  // results-neutrality contract; queries carrying their own trace/profile
+  // sinks always execute. Decisions are reused either way: with replay
+  // off, a resubmission executes the composition its pair's first launch
+  // dispatched, without sampling, so both settings give the same
+  // latencies.
   bool reuse_identical = true;
   // When set, each drained wave's executed launches open Chrome-trace
   // tracks named "drain<i>/<kernel>", so admission waves are visible as
@@ -165,7 +174,7 @@ struct DrainRecord {
   std::uint32_t device = 0;     // the earliest-free device, which ran it
   std::uint32_t n_queries = 0;
   std::uint32_t queue_depth_before = 0;  // pending count when fired
-  std::uint32_t cold_launches = 0;       // executed (vs cache-replayed)
+  std::uint32_t cold_launches = 0;       // executed (vs replayed)
   // BatchSchedule accounting over the wave under ServingConfig::policy.
   std::uint32_t residency = 0;
   std::uint32_t total_chunks = 0;
@@ -318,23 +327,26 @@ class ServingSession {
   // What a drain needs of one launch's measurement, executed or replayed.
   struct Measured {
     LaunchGeometry shape;
-    Variant variant = Variant::kAutoNolockstep;
     double total_ms = 0;
     bool ok = true;
   };
-  // Replayed measurement for an identical (kernel, mode) resubmission.
-  // Holds the handle alive: the cache is keyed by the KernelHandle's
-  // address, which is only a sound identity while that object exists --
-  // without the keepalive, a recycled allocation could alias a dead
-  // handle's key and replay the wrong kernel's measurements.
-  struct CachedLaunch {
+  // A (kernel, mode) pair's decision, taken by its first execution: the
+  // concrete composition that launch dispatched (dispatched_mode -- the
+  // pair's own mode unless it is auto_select) and that composition's
+  // measurement without the sampling prologue, which a direct launch of
+  // it would report bit for bit. Holds the handle alive: the map is keyed
+  // by the KernelHandle's address, which is only a sound identity while
+  // that object exists -- without the keepalive, a recycled allocation
+  // could alias a dead handle's key and reuse the wrong kernel's decision.
+  struct Decision {
     std::shared_ptr<KernelHandle> keepalive;
+    GpuMode mode;
     Measured measured;
   };
   // The whole GpuMode is part of the identity: every knob can change the
   // executed composition or its modelled cost.
-  using CacheKey = std::pair<const KernelHandle*, GpuMode>;
-  static CacheKey cache_key(const LaunchSpec& spec);
+  using DecisionKey = std::pair<const KernelHandle*, GpuMode>;
+  static DecisionKey decision_key(const LaunchSpec& spec);
 
   // The device the next wave runs on: earliest free, ties to the lowest
   // index so routing is deterministic.
@@ -355,7 +367,7 @@ class ServingSession {
   std::vector<double> device_free_ms_;  // per-device modelled idle time
   bool any_arrival_ = false;
 
-  std::map<CacheKey, CachedLaunch> cache_;
+  std::map<DecisionKey, Decision> decisions_;
 
   // Per-drain scratch, reused across drains: once these reach the largest
   // wave's size, a drain's own bookkeeping allocates nothing beyond its

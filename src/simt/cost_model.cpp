@@ -20,7 +20,7 @@ TimeBreakdown estimate_time(const KernelStats& stats, const DeviceConfig& cfg,
   t.compute_ms = stats.instr_cycles / (usable_sms * cycles_per_ms);
   double bytes_per_ms = cfg.mem_bandwidth_gbps * 1e6;  // 1 GB/s = 1e6 B/ms
   t.memory_ms = static_cast<double>(stats.dram_bytes) / bytes_per_ms;
-  t.total_ms = std::max(t.compute_ms, t.memory_ms);
+  t.total_ms = t.kernel_ms();
   t.memory_bound = t.memory_ms > t.compute_ms;
   return t;
 }
@@ -53,7 +53,7 @@ TimeBreakdown estimate_time_balanced(std::span<const double> per_warp_cycles,
 
   double cycles_per_ms = cfg.clock_ghz * 1e6;
   t.compute_ms = load.makespan / cycles_per_ms;
-  t.total_ms = std::max(t.compute_ms, t.memory_ms);
+  t.total_ms = t.kernel_ms();
   t.memory_bound = t.memory_ms > t.compute_ms;
   return t;
 }

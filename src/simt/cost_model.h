@@ -7,6 +7,7 @@
 // instruction cycles; lost coalescing shows up as extra transactions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -21,11 +22,17 @@ struct TimeBreakdown {
   // Serial prologue before the kernel: the auto_select sampler's launch
   // (core/launch.h charge_sampling); 0 for every other launch.
   double select_ms = 0;
-  double total_ms = 0;  // select_ms + max(compute_ms, memory_ms)
+  double total_ms = 0;  // select_ms + kernel_ms()
   bool memory_bound = false;  // memory_ms > compute_ms
   // Makespan / ideal-balance ratio when per-warp cycles were provided
   // (1.0 = perfectly balanced warps).
   double imbalance = 1.0;
+
+  // The kernel's own time, prologue excluded: bit for bit the total_ms of
+  // a launch of the same composition that did not sample.
+  [[nodiscard]] double kernel_ms() const {
+    return std::max(compute_ms, memory_ms);
+  }
 };
 
 // `n_warps` caps the SMs that can be kept busy (a grid smaller than the SM

@@ -320,6 +320,61 @@ TEST(SamplingCharge, SameOnEveryLaunchPath) {
   }
 }
 
+// The devices re-run the baseline's decision: run_sharded's per-device
+// mode is dispatched_mode(spec.mode, chosen), ablation knobs kept. A lone
+// device runs the whole launch, so its counters and kernel time must
+// equal a plain launch of the helper's mode; with a finite grid that pins
+// the grid_limit a mode rebuilt from the chosen variant alone would lose,
+// and on two devices each one's refills follow the same grid.
+TEST(DeviceGroup, DevicesRunTheDispatchedMode) {
+  ShardFixture f;
+  const DeviceConfig dev;
+  for (const std::size_t grid_limit : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE("grid_limit " + std::to_string(grid_limit));
+    LaunchSpec sampled = f.spec(Variant::kAutoSelect);
+    sampled.mode.grid_limit = grid_limit;
+    const ShardedRun one = run_sharded(sampled, 1 << 20, 1 << 16, group_of(1));
+    ASSERT_TRUE(one.merged.ok()) << one.merged.error;
+    ASSERT_TRUE(one.merged.selection.has_value());
+    const Variant chosen = one.merged.selection->chosen;
+
+    LaunchSpec concrete = sampled;
+    concrete.mode = dispatched_mode(sampled.mode, chosen);
+    EXPECT_FALSE(concrete.mode.auto_select);
+    EXPECT_EQ(concrete.mode.variant(), chosen);
+    EXPECT_EQ(concrete.mode.grid_limit, grid_limit);
+    const LaunchPool direct = run_launch_pool(std::span(&concrete, 1), dev);
+    const LaunchResult& d = direct.launches[0];
+    ASSERT_TRUE(d.ok()) << d.error;
+    EXPECT_FALSE(d.selection.has_value());
+
+    ASSERT_EQ(one.devices.size(), 1u);
+    const DeviceShard& sh = one.devices[0];
+    EXPECT_EQ(sh.stats.lane_visits, d.stats.lane_visits);
+    EXPECT_EQ(sh.stats.warp_steps, d.stats.warp_steps);
+    EXPECT_EQ(sh.stats.load_instructions, d.stats.load_instructions);
+    EXPECT_EQ(sh.stats.l2_hit_transactions, d.stats.l2_hit_transactions);
+    EXPECT_EQ(sh.stats.dram_transactions, d.stats.dram_transactions);
+    EXPECT_EQ(sh.time.compute_ms, d.time.compute_ms);
+    EXPECT_EQ(sh.time.memory_ms, d.time.memory_ms);
+    EXPECT_EQ(sh.time.kernel_ms(), d.time.total_ms);
+
+    const ShardedRun two = run_sharded(sampled, 1 << 20, 1 << 16, group_of(2));
+    ASSERT_TRUE(two.merged.ok()) << two.merged.error;
+    for (const DeviceShard& x : two.devices) {
+      if (x.chunks == 0) continue;
+      const std::size_t grid =
+          grid_limit > 0 ? std::min(grid_limit, x.chunks) : x.chunks;
+      EXPECT_EQ(x.rounds, (x.chunks + grid - 1) / grid)
+          << "device " << x.device;
+    }
+  }
+  // A concrete mode is already dispatched: the helper returns it as is.
+  GpuMode knobs = GpuMode::from(Variant::kRecLockstep);
+  knobs.grid_limit = 3;
+  EXPECT_EQ(dispatched_mode(knobs, Variant::kAutoNolockstep), knobs);
+}
+
 TEST(RunSharding, ShardsTheItemListAndSumsThePool) {
   ShardingConfig sc;
   for (Algo a : {Algo::kPC, Algo::kNN}) {

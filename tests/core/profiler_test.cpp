@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
 #include <string>
 
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
+#include "bench_algos/pq/point_queries.h"
 #include "bench_algos/vp/vantage_point.h"
+#include "core/kernel_compose.h"
 #include "core/launch.h"
 #include "data/generators.h"
 #include "data/sorting.h"
@@ -272,6 +276,77 @@ TEST(Profiler, SamplerShapesStayValid) {
   none.warp_size = 0;
   EXPECT_THROW((void)profile_similarity(k, 32, 1, none, &s.space),
                std::invalid_argument);
+}
+
+// The sampler records its lanes and models its runs on the OpenMP team;
+// the draws come first and every result lands in lane order, so the
+// report is the same for any team size. Compared field by field, both
+// segment streams included, under 1 and 4 threads for an unguided, a
+// guided and a fused kernel.
+void expect_same_report(const ProfileReport& a, const ProfileReport& b) {
+  EXPECT_EQ(a.mean_similarity, b.mean_similarity);
+  EXPECT_EQ(a.baseline_similarity, b.baseline_similarity);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.sampled_visits, b.sampled_visits);
+  EXPECT_EQ(a.traversal_visits, b.traversal_visits);
+  ASSERT_EQ(a.warps.size(), b.warps.size());
+  for (std::size_t i = 0; i < a.warps.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const SampledWarp& x = a.warps[i];
+    const SampledWarp& y = b.warps[i];
+    EXPECT_EQ(x.first_point, y.first_point);
+    EXPECT_EQ(x.lanes, y.lanes);
+    EXPECT_EQ(x.union_visits, y.union_visits);
+    EXPECT_EQ(x.longest, y.longest);
+    EXPECT_EQ(x.lane_visits, y.lane_visits);
+    EXPECT_EQ(x.callset_votes, y.callset_votes);
+    EXPECT_EQ(x.lockstep_segments, y.lockstep_segments);
+    EXPECT_EQ(x.nolockstep_segments, y.nolockstep_segments);
+  }
+}
+
+template <class K>
+void expect_thread_count_independent(const K& k,
+                                     const GpuAddressSpace& space) {
+  const int saved = omp_get_max_threads();
+  ProfileReport r[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    omp_set_num_threads(pass == 0 ? 1 : 4);
+    r[pass] = profile_similarity(k, 32, 7, DeviceConfig{}, &space);
+  }
+  omp_set_num_threads(saved);
+  ASSERT_EQ(r[0].warps.size(), 2u);
+  EXPECT_FALSE(r[0].warps[0].lockstep_segments.empty());
+  expect_same_report(r[0], r[1]);
+}
+
+TEST(Profiler, ReportIdenticalAcrossThreadCounts) {
+  {
+    SCOPED_TRACE("unguided: point correlation");
+    PcFixture s(false);
+    PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
+    expect_thread_count_independent(k, s.space);
+  }
+  {
+    SCOPED_TRACE("guided: nearest neighbor");
+    PointSet pts = gen_covtype_like(2000, 7, 29);
+    KdTreeNN tree = build_kdtree_nn(pts);
+    GpuAddressSpace space;
+    NnKernel k(tree, pts, space);
+    static_assert(NnKernel::kNumCallSets > 1);
+    expect_thread_count_independent(k, space);
+  }
+  {
+    SCOPED_TRACE("fused: rope k-NN + rope NN");
+    PointSet pts = gen_covtype_like(700, 7, 21);
+    KdTree tree = build_kdtree(pts, 8);
+    GpuAddressSpace space;
+    RopeKnnKernel knn(tree, pts, 8, space);
+    RopeNnKernel nn(tree, pts, space);
+    auto fused = fuse(knn, nn);
+    static_assert(kernel_shares_node_loads<decltype(fused)>);
+    expect_thread_count_independent(fused, space);
+  }
 }
 
 }  // namespace

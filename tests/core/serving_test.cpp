@@ -1,8 +1,8 @@
 // The admission--dispatch layer (core/serving.h): work-conserving wave
 // formation and routing, ring-buffer drops, config validation, the shared
-// drain log, warm-replay exactness, arrival trace determinism, and the
-// zero-delay sanity anchor -- a query served alone must pay exactly its
-// solo transfer + modelled compute.
+// drain log, warm-replay exactness, one section-4.4 decision per session,
+// arrival trace determinism, and the zero-delay sanity anchor -- a query
+// served alone must pay exactly its solo transfer + modelled compute.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,8 @@
 #include "core/gpu_executors.h"
 #include "core/serving.h"
 #include "data/generators.h"
+#include "data/sorting.h"
+#include "obs/chrome_trace.h"
 #include "spatial/kdtree.h"
 
 namespace tt {
@@ -382,31 +384,111 @@ TEST(ServingSession, RejectsDecreasingArrivalsAndMissingKernel) {
 TEST(ServingSession, WarmReplayIsExact) {
   ServingFixtures f;
   // Replay requires identity: the same prepared handle resubmitted, as a
-  // serving pool does. (A fresh handle per query is always cold.)
+  // serving pool does. (A fresh handle per query is always cold.) Two
+  // pairs alternate: a concrete composition and an auto_select one.
   const QuerySet proto = f.pc_query();
+  QuerySet auto_proto = f.pc_query();
+  auto_proto.spec.mode = GpuMode::from(Variant::kAutoSelect);
   auto run = [&](bool reuse) {
     ServingConfig cfg = relaxed_config();
     cfg.reuse_identical = reuse;
     ServingSession session(cfg);
-    for (double arrival : {0.0, 100.0, 200.0, 300.0}) {
-      QuerySet q = proto;
-      EXPECT_TRUE(session.submit(std::move(q), arrival));
+    for (int i = 0; i < 8; ++i) {
+      QuerySet q = i % 2 ? auto_proto : proto;
+      EXPECT_TRUE(session.submit(std::move(q), 100.0 * i));
     }
     session.flush();
     return session;
   };
   ServingSession warm = run(true);
   ServingSession cold = run(false);
-  ASSERT_EQ(warm.latencies_ms().size(), 4u);
+  ASSERT_EQ(warm.latencies_ms().size(), 8u);
   EXPECT_EQ(warm.latencies_ms(), cold.latencies_ms());
 
   const ServingReport wr = warm.report();
   const ServingReport cr = cold.report();
-  ASSERT_EQ(wr.drains.size(), 4u);
-  EXPECT_EQ(wr.drains[0].cold_launches, 1u);
-  for (std::size_t i = 1; i < 4; ++i)
-    EXPECT_EQ(wr.drains[i].cold_launches, 0u) << "drain " << i;
+  ASSERT_EQ(wr.drains.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i)
+    EXPECT_EQ(wr.drains[i].cold_launches, i < 2 ? 1u : 0u) << "drain " << i;
   for (const DrainRecord& d : cr.drains) EXPECT_EQ(d.cold_launches, 1u);
+}
+
+// One section-4.4 decision per session: an auto_select pair's first query
+// samples and pays the prologue; every later query of the pair is charged
+// the composition that launch dispatched, bit for bit what a direct launch
+// of that composition reports -- whether it replays, re-executes with
+// replay off, or re-executes in a wave that opens Chrome tracks. Checked
+// on a Geocity-like input sorted (the decision is lockstep) and shuffled
+// (non-lockstep), with arrivals spaced so every query finds the device
+// idle.
+TEST(ServingSession, ReplaysReuseTheDecision) {
+  for (const bool sorted : {true, false}) {
+    SCOPED_TRACE(sorted ? "pc sorted" : "pc shuffled");
+    const std::size_t n = 1024;
+    PointSet pts = gen_geocity_like(n, 42);
+    pts.permute(sorted ? tree_order(pts, 8) : shuffled_order(n, 42));
+    const KdTree tree = build_kdtree(pts, 8);
+    GpuAddressSpace space;
+    const PointCorrelationKernel pc(tree, pts, pc_pick_radius(pts, 16, 42),
+                                    space);
+    const DeviceConfig dev;
+    const GpuMode mode = GpuMode::from(Variant::kAutoSelect);
+    const auto sampled = run_gpu_sim(pc, space, dev, mode);
+    ASSERT_TRUE(sampled.selection.has_value());
+    const Variant decided = sampled.selection->chosen;
+    EXPECT_EQ(decided,
+              sorted ? Variant::kAutoLockstep : Variant::kAutoNolockstep);
+    ASSERT_GT(sampled.time.select_ms, 0.0);
+    const double direct_ms =
+        run_gpu_sim(pc, space, dev, GpuMode::from(decided)).time.total_ms;
+
+    const std::shared_ptr<KernelHandle> handle = make_kernel_handle(pc);
+    const TransferModel transfer;
+    const double round_trip = transfer.round_trip_ms(4096, 1024, 1);
+    auto serve = [&](bool reuse, obs::ChromeTraceCollector* chrome) {
+      ServingConfig cfg = relaxed_config();
+      cfg.reuse_identical = reuse;
+      cfg.chrome = chrome;
+      ServingSession session(cfg);
+      for (const double arrival : {0.0, 100.0, 200.0, 300.0}) {
+        QuerySet q;
+        q.spec.kernel = handle;
+        q.spec.space = &space;
+        q.spec.mode = mode;
+        q.upload_bytes = 4096;
+        q.download_bytes = 1024;
+        EXPECT_TRUE(session.submit(std::move(q), arrival));
+      }
+      session.flush();
+      return session;
+    };
+    auto expect_decided_once = [&](const ServingSession& session,
+                                   std::size_t executed) {
+      const std::vector<double>& lat = session.latencies_ms();
+      ASSERT_EQ(lat.size(), 4u);
+      EXPECT_EQ(lat[0], round_trip + sampled.time.total_ms);
+      for (std::size_t i = 1; i < lat.size(); ++i)
+        EXPECT_EQ(lat[i], round_trip + direct_ms) << "query " << i;
+      std::size_t cold = 0;
+      for (const DrainRecord& d : session.report().drains)
+        cold += d.cold_launches;
+      EXPECT_EQ(cold, executed);
+    };
+    {
+      SCOPED_TRACE("replay on");
+      expect_decided_once(serve(true, nullptr), 1);
+    }
+    {
+      SCOPED_TRACE("replay off");
+      expect_decided_once(serve(false, nullptr), 4);
+    }
+    {
+      SCOPED_TRACE("chrome tracing");
+      obs::ChromeTraceCollector chrome;
+      expect_decided_once(serve(true, &chrome), 4);
+      EXPECT_EQ(chrome.n_launches(), 4u);
+    }
+  }
 }
 
 // Replay keys on the handle AND the whole GpuMode: the same kernel under
