@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the substrate hot paths: the
-// coalescing model, the L2 simulator, warp-memory commit, tree builds and
-// the CPU-side traversal executors. These guard the *simulator's own*
-// performance (host seconds per simulated event), which bounds how large
-// an input the experiment binaries can afford.
+// coalescing model, the L2 simulator, warp-memory commit, tree builds,
+// the CPU-side traversal executors and a replayed serving wave. These
+// guard the *simulator's own* performance (host seconds per simulated
+// event), which bounds how large an input the experiment binaries can
+// afford.
 #include <benchmark/benchmark.h>
 
 #include "bench_algos/pc/point_correlation.h"
 #include "core/cpu_executors.h"
+#include "core/serving.h"
 #include "data/generators.h"
 #include "simt/coalescing.h"
 #include "simt/l2cache.h"
@@ -181,6 +183,38 @@ void BM_CpuTraversal(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "recursive" : "autoropes");
 }
 BENCHMARK(BM_CpuTraversal)->Arg(0)->Arg(1);
+
+// ServingSession::submit on the common serving path: two devices, one
+// decided (kernel, mode) pair and arrivals spaced far wider than its
+// service time, so every submit fires the previous query's wave -- one
+// replayed query on an idle device -- and logs its drain. Time per
+// iteration is host ns per query served. The iteration count is fixed
+// because the session keeps per-query telemetry for its whole life.
+void BM_ServingReplayedWave(benchmark::State& state) {
+  static PointSet pts = gen_covtype_like(512, 7, 8);
+  static KdTree tree = build_kdtree(pts, 8);
+  GpuAddressSpace space;
+  PointCorrelationKernel k(tree, pts, pc_pick_radius(pts, 16, 8), space);
+  QuerySet q;
+  q.spec.kernel = make_kernel_handle(k);
+  q.spec.space = &space;
+  q.spec.mode = GpuMode::from(Variant::kAutoNolockstep);
+  q.upload_bytes = 4096;
+  q.download_bytes = 1024;
+  ServingConfig cfg;
+  cfg.devices = 2;
+  ServingSession session(cfg);
+  // The pair's cold query executes (and decides it) when the second
+  // arrival fires it, outside the timed loop.
+  double arrival_ms = 0;
+  for (int i = 0; i < 2; ++i, arrival_ms += 1.0) session.submit(q, arrival_ms);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.submit(q, arrival_ms));
+    arrival_ms += 1.0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServingReplayedWave)->Iterations(1 << 18);
 
 }  // namespace
 }  // namespace tt

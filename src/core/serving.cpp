@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/chrome_trace.h"
 #include "simt/cost_model.h"
@@ -151,6 +154,56 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
     out.launches.push_back(std::move(r));
   }
   return out;
+}
+
+// ---------------------------------------------------------------------
+// The drain log.
+// ---------------------------------------------------------------------
+
+void DrainLog::append(const DrainRecord& rec) {
+  const Body b{.transfer_ms = rec.transfer_ms,
+               .solo_transfer_ms = rec.solo_transfer_ms,
+               .compute_ms = rec.compute_ms,
+               .device = rec.device,
+               .n_queries = rec.n_queries,
+               .cold_launches = rec.cold_launches,
+               .residency = rec.residency,
+               .total_chunks = rec.total_chunks,
+               .rounds = rec.rounds,
+               .switches = rec.switches};
+  entries_.push_back(Entry{rec.dispatch_ms, rec.queue_depth_before, intern(b)});
+}
+
+std::size_t DrainLog::hash(const Body& b) {
+  return std::hash<std::string_view>{}(
+      std::string_view(reinterpret_cast<const char*>(&b), sizeof b));
+}
+
+std::uint32_t DrainLog::intern(const Body& b) {
+  if (2 * (bodies_.size() + 1) > slots_.size())
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = hash(b) & mask;; s = (s + 1) & mask) {
+    std::uint32_t& slot = slots_[s];
+    if (slot == kFree) {
+      if (bodies_.size() >= kFree)
+        throw std::length_error("DrainLog: more than 2^32 - 1 bodies");
+      slot = static_cast<std::uint32_t>(bodies_.size());
+      bodies_.push_back(b);
+      return slot;
+    }
+    if (std::memcmp(&bodies_[slot], &b, sizeof b) == 0) return slot;
+  }
+}
+
+void DrainLog::rehash(std::size_t n_slots) {
+  slots_.assign(n_slots, kFree);
+  const std::size_t mask = n_slots - 1;
+  for (std::size_t id = 0; id < bodies_.size(); ++id) {
+    std::size_t s = hash(bodies_[id]) & mask;
+    while (slots_[s] != kFree) s = (s + 1) & mask;
+    slots_[s] = static_cast<std::uint32_t>(id);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -401,7 +454,7 @@ void ServingSession::fire(double start_ms) {
   wave_.clear();
   device_free_ms_[device] = rec.dispatch_ms + rec.service_ms();
   busy_ms_ += rec.service_ms();
-  drains_->push_back(rec);
+  drains_->append(rec);
 }
 
 ServingReport ServingSession::report() const {
@@ -419,7 +472,7 @@ ServingReport ServingSession::report() const {
   r.queue_depth = queue_depth_stats_.summary();
   r.latency = summarize_latency(latencies_);
   r.queue_delay = summarize_latency(queue_delays_);
-  r.drains = DrainLogView(drains_, drains_->size());
+  r.drains = DrainLogView(drains_);
   return r;
 }
 

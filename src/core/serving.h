@@ -34,7 +34,9 @@
 //     measurements -- exact, because batching is results-neutral by
 //     construction -- which is what makes million-query traces
 //     affordable; when it must execute instead it runs the decided mode
-//     and never samples again, so its latency is the same.
+//     and never samples again, so its latency is the same. Each wave
+//     appends one 16-byte entry to the session's dictionary-encoded drain
+//     log (DrainLog), so a million waves of one cost about 16 MB of log.
 //
 // All times on this layer are *modelled* milliseconds (cost model +
 // TransferModel), so every serving number is deterministic for a given
@@ -160,9 +162,8 @@ struct LatencySummary {
 // percentile() over one sorted pass; linear interpolation (util/stats.h).
 [[nodiscard]] LatencySummary summarize_latency(std::vector<double> xs);
 
-// One drained wave's accounting, 64 bytes: the session keeps one per
-// wave for its whole life, and low-load traces drain nearly once per
-// query.
+// One drained wave's accounting: the record every reader of a drain log
+// sees. The log itself stores it split in two (see DrainLog).
 struct DrainRecord {
   double dispatch_ms = 0;  // max(oldest pending arrival, device free)
   // One amortized round trip for the wave; under pipelined uploads
@@ -184,30 +185,102 @@ struct DrainRecord {
   // Device busy time of the wave.
   [[nodiscard]] double service_ms() const { return transfer_ms + compute_ms; }
 };
-static_assert(sizeof(DrainRecord) <= 64, "DrainRecord is kept per wave");
 
-// A read-only prefix of a session's append-only drain log: the first
-// size() drains, in dispatch order. Copying one copies a pointer, never
-// records. It stays valid -- same count, same values -- after the session
-// appends more drains and after the session is destroyed. (Like the
-// session itself, not safe to read while another thread submits.)
+// A session's append-only drain log, dictionary-encoded. Each wave keeps a
+// 16-byte entry -- dispatch_ms, queue_depth_before and the id of its
+// *body* -- and the body, every other DrainRecord field, is stored once per
+// distinct bit pattern. Waves of one (kernel, mode) pair on one device
+// differ almost only in dispatch_ms, and a lightly loaded session drains
+// nearly once per query, so the log costs about 16 bytes per wave; a trace
+// whose bodies never repeat costs 80-88 (entry, body, index). Interning
+// compares exact bits: bodies that differ in one bit of one double, or in
+// the sign of a zero, stay distinct, so operator[] rebuilds what append()
+// was given bit for bit. Entries and bodies are never moved or rewritten
+// once appended.
+class DrainLog {
+ public:
+  void append(const DrainRecord& rec);
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t bodies() const { return bodies_.size(); }
+  [[nodiscard]] DrainRecord operator[](std::size_t i) const {
+    const Entry& e = entries_[i];
+    const Body& b = bodies_[e.body];
+    return {.dispatch_ms = e.dispatch_ms,
+            .transfer_ms = b.transfer_ms,
+            .solo_transfer_ms = b.solo_transfer_ms,
+            .compute_ms = b.compute_ms,
+            .device = b.device,
+            .n_queries = b.n_queries,
+            .queue_depth_before = e.queue_depth_before,
+            .cold_launches = b.cold_launches,
+            .residency = b.residency,
+            .total_chunks = b.total_chunks,
+            .rounds = b.rounds,
+            .switches = b.switches};
+  }
+
+ private:
+  struct Entry {
+    double dispatch_ms;
+    std::uint32_t queue_depth_before;
+    std::uint32_t body;  // index into bodies_
+  };
+  static_assert(sizeof(Entry) == 16, "the log keeps one Entry per wave");
+  // No padding bytes (the tail is an explicit zero), so a body's object
+  // representation is its bit pattern: interning hashes and compares it.
+  struct Body {
+    double transfer_ms;
+    double solo_transfer_ms;
+    double compute_ms;
+    std::uint32_t device;
+    std::uint32_t n_queries;
+    std::uint32_t cold_launches;
+    std::uint32_t residency;
+    std::uint32_t total_chunks;
+    std::uint32_t rounds;
+    std::uint32_t switches;
+    std::uint32_t zero = 0;
+  };
+  static_assert(sizeof(Body) == 3 * sizeof(double) + 8 * sizeof(std::uint32_t),
+                "Body has no padding bytes");
+
+  static std::size_t hash(const Body& b);
+  // The id of `b`'s bit pattern, storing it first if it is new.
+  std::uint32_t intern(const Body& b);
+  void rehash(std::size_t n_slots);
+
+  std::deque<Entry> entries_;
+  std::deque<Body> bodies_;
+  // Open-addressing index over body ids (kFree marks an empty slot),
+  // power-of-two sized and at most half full. It hashes the body an id
+  // points to, so it holds 8-16 bytes per body and no copy of one.
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+  std::vector<std::uint32_t> slots_;
+};
+
+// A read-only prefix of a session's drain log: the first size() drains,
+// in dispatch order, each decoded to a DrainRecord returned by value.
+// Copying one copies a pointer, never records. It stays valid -- same
+// count, same values -- after the session appends more drains and after
+// the session is destroyed. (Like the session itself, not safe to read
+// while another thread submits.)
 class DrainLogView {
  public:
-  using Log = std::deque<DrainRecord>;
-
-  // Index-based, so the log's growth cannot invalidate it.
+  // Index-based, so the log's growth cannot invalidate it. A proxy
+  // iterator: its reference is the decoded record, a prvalue, so it is a
+  // std::forward_iterator but only a legacy input iterator.
   class iterator {
    public:
-    using iterator_category = std::forward_iterator_tag;
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
     using value_type = DrainRecord;
     using difference_type = std::ptrdiff_t;
-    using pointer = const DrainRecord*;
-    using reference = const DrainRecord&;
+    using reference = DrainRecord;
 
     iterator() = default;
-    iterator(const Log* log, std::size_t i) : log_(log), i_(i) {}
-    reference operator*() const { return (*log_)[i_]; }
-    pointer operator->() const { return &(*log_)[i_]; }
+    iterator(const DrainLog* log, std::size_t i) : log_(log), i_(i) {}
+    DrainRecord operator*() const { return (*log_)[i_]; }
     iterator& operator++() {
       ++i_;
       return *this;
@@ -220,27 +293,31 @@ class DrainLogView {
     bool operator==(const iterator& o) const { return i_ == o.i_; }
 
    private:
-    const Log* log_ = nullptr;
+    const DrainLog* log_ = nullptr;
     std::size_t i_ = 0;
   };
 
   DrainLogView() = default;
-  DrainLogView(std::shared_ptr<const Log> log, std::size_t n)
-      : log_(std::move(log)), n_(n) {}
+  // A view of everything `log` holds now.
+  explicit DrainLogView(std::shared_ptr<const DrainLog> log)
+      : log_(std::move(log)), n_(log_->size()), n_bodies_(log_->bodies()) {}
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }
-  [[nodiscard]] const DrainRecord& operator[](std::size_t i) const {
+  // Distinct bodies the prefix's records are built from (DrainLog).
+  [[nodiscard]] std::size_t interned_bodies() const { return n_bodies_; }
+  [[nodiscard]] DrainRecord operator[](std::size_t i) const {
     return (*log_)[i];
   }
-  [[nodiscard]] const DrainRecord& front() const { return (*log_)[0]; }
-  [[nodiscard]] const DrainRecord& back() const { return (*log_)[n_ - 1]; }
+  [[nodiscard]] DrainRecord front() const { return (*log_)[0]; }
+  [[nodiscard]] DrainRecord back() const { return (*log_)[n_ - 1]; }
   [[nodiscard]] iterator begin() const { return {log_.get(), 0}; }
   [[nodiscard]] iterator end() const { return {log_.get(), n_}; }
 
  private:
-  std::shared_ptr<const Log> log_;
+  std::shared_ptr<const DrainLog> log_;
   std::size_t n_ = 0;
+  std::size_t n_bodies_ = 0;
 };
 
 struct ServingReport {
@@ -380,7 +457,7 @@ class ServingSession {
   BatchScheduler sched_;
 
   // Telemetry accumulators: scalars, two doubles per query served and one
-  // 64-byte record per drain, so million-query traces stay small.
+  // 16-byte log entry per drain, so million-query traces stay small.
   std::size_t submitted_ = 0;
   std::size_t dropped_ = 0;
   std::size_t failed_ = 0;
@@ -391,10 +468,8 @@ class ServingSession {
   RunningStats queue_depth_stats_;
   std::vector<double> latencies_;
   std::vector<double> queue_delays_;
-  // Append-only, shared with every report taken from it: a deque never
-  // moves its records and grows without a vector's doubling slack.
-  std::shared_ptr<DrainLogView::Log> drains_ =
-      std::make_shared<DrainLogView::Log>();
+  // Append-only, shared with every report taken from it.
+  std::shared_ptr<DrainLog> drains_ = std::make_shared<DrainLog>();
 };
 
 // ---------------------------------------------------------------------

@@ -1,13 +1,18 @@
 // The admission--dispatch layer (core/serving.h): work-conserving wave
 // formation and routing, ring-buffer drops, config validation, the shared
-// drain log, warm-replay exactness, one section-4.4 decision per session,
-// arrival trace determinism, and the zero-delay sanity anchor -- a query
-// served alone must pay exactly its solo transfer + modelled compute.
+// dictionary-encoded drain log, warm-replay exactness, one section-4.4
+// decision per session, arrival trace determinism, and the zero-delay
+// sanity anchor -- a query served alone must pay exactly its solo transfer
+// + modelled compute.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -316,6 +321,120 @@ TEST(ServingSession, ReportKeepsItsDrainsAfterSubmitsAndSessionEnd) {
   EXPECT_EQ(mid.drains.front().dispatch_ms, 0.0);
   EXPECT_EQ(mid.drains.back().dispatch_ms, 10.0);
   EXPECT_EQ(all.drains.back().dispatch_ms, 50.0);
+}
+
+// The log keeps a 16-byte entry per wave and interns the rest of the
+// record by exact bits: records that differ in one field -- by one ulp, or
+// by the sign of a zero -- read back bit for bit through every accessor,
+// and only a body that differs is stored again. (DrainRecord has no
+// padding, so memcmp compares exactly its fields' bits.)
+static_assert(std::forward_iterator<DrainLogView::iterator>);
+
+TEST(DrainLog, RoundTripsEveryFieldBitForBit) {
+  DrainRecord base;
+  base.dispatch_ms = 1.5;
+  base.transfer_ms = 0.0187;
+  base.solo_transfer_ms = 0.0374;
+  base.compute_ms = 0.0518;
+  base.device = 1;
+  base.n_queries = 2;
+  base.queue_depth_before = 3;
+  base.cold_launches = 1;
+  base.residency = 2;
+  base.total_chunks = 8;
+  base.rounds = 1;
+  base.switches = 1;
+  std::vector<DrainRecord> recs = {base};
+  auto vary = [&](auto edit) {
+    DrainRecord r = base;
+    edit(r);
+    recs.push_back(r);
+  };
+  auto next_up = [](double& x) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  };
+  // The two entry fields: these share base's body.
+  vary([&](DrainRecord& r) { next_up(r.dispatch_ms); });
+  vary([](DrainRecord& r) { ++r.queue_depth_before; });
+  // Every body field: each of these is a body of its own.
+  vary([&](DrainRecord& r) { next_up(r.transfer_ms); });
+  vary([&](DrainRecord& r) { next_up(r.solo_transfer_ms); });
+  vary([&](DrainRecord& r) { next_up(r.compute_ms); });
+  vary([](DrainRecord& r) { ++r.device; });
+  vary([](DrainRecord& r) { ++r.n_queries; });
+  vary([](DrainRecord& r) { ++r.cold_launches; });
+  vary([](DrainRecord& r) { ++r.residency; });
+  vary([](DrainRecord& r) { ++r.total_chunks; });
+  vary([](DrainRecord& r) { ++r.rounds; });
+  vary([](DrainRecord& r) { ++r.switches; });
+  vary([](DrainRecord& r) { r.transfer_ms = 0.0; });
+  vary([](DrainRecord& r) { r.transfer_ms = -0.0; });  // == 0.0, other bits
+  recs.push_back(base);  // a repeat shares base's body too
+
+  auto log = std::make_shared<DrainLog>();
+  for (const DrainRecord& r : recs) log->append(r);
+  const DrainLogView view(log);
+  auto same_bits = [](const DrainRecord& a, const DrainRecord& b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  ASSERT_EQ(view.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    EXPECT_TRUE(same_bits(view[i], recs[i])) << "record " << i;
+  std::size_t i = 0;
+  for (const DrainRecord& r : view) {
+    ASSERT_LT(i, recs.size());
+    EXPECT_TRUE(same_bits(r, recs[i])) << "iterated record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, recs.size());
+  EXPECT_TRUE(same_bits(view.front(), recs.front()));
+  EXPECT_TRUE(same_bits(view.back(), recs.back()));
+  const std::vector<DrainRecord> copy(view.begin(), view.end());
+  ASSERT_EQ(copy.size(), view.size());
+  for (std::size_t k = 0; k < copy.size(); ++k)
+    EXPECT_TRUE(same_bits(copy[k], view[k])) << "copied record " << k;
+  EXPECT_EQ(view.interned_bodies(), recs.size() - 3);
+
+  // A view is a prefix: later appends change neither its count nor its
+  // bodies.
+  DrainRecord later = base;
+  next_up(later.compute_ms);
+  next_up(later.compute_ms);
+  log->append(later);
+  EXPECT_EQ(view.size(), recs.size());
+  EXPECT_EQ(view.interned_bodies(), recs.size() - 3);
+  EXPECT_EQ(DrainLogView(log).interned_bodies(), recs.size() - 2);
+}
+
+// At light load every wave is one query on an idle device, so a long
+// session's log holds two bodies per (kernel, mode) pair -- its cold wave
+// and the warm one every replay repeats -- however many queries it serves.
+// (One device: on two, an idle group alternates, since the earliest-free
+// device is the one idle longest.)
+TEST(ServingSession, LightLoadInternsOneColdAndOneWarmBodyPerPair) {
+  ServingFixtures f;
+  std::vector<QuerySet> pool = {f.pc_query(), f.nn_query(), f.pc_query(),
+                                f.nn_query()};
+  pool[2].spec.mode = GpuMode::from(Variant::kRecLockstep);
+  pool[3].spec.mode = GpuMode::from(Variant::kRecLockstep);
+  ServingSession session(ServingConfig{});
+  const std::size_t n = 10000;
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_TRUE(session.submit(pool[i % pool.size()], static_cast<double>(i)));
+  session.flush();
+  const ServingReport r = session.report();
+  ASSERT_EQ(r.drains.size(), n);
+  std::set<double> warm_compute_ms;
+  std::size_t cold = 0;
+  for (const DrainRecord& d : r.drains) {
+    EXPECT_EQ(d.device, 0u);
+    EXPECT_EQ(d.n_queries, 1u);
+    cold += d.cold_launches;
+    if (d.cold_launches == 0) warm_compute_ms.insert(d.compute_ms);
+  }
+  EXPECT_EQ(cold, pool.size());
+  ASSERT_EQ(warm_compute_ms.size(), pool.size());  // the pairs measure apart
+  EXPECT_EQ(r.drains.interned_bodies(), 2 * pool.size());
 }
 
 // ---------------------------------------------------------------------

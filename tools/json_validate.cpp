@@ -27,7 +27,11 @@
 //   serving (bench/serving) -- completed + dropped == submitted, per-drain
 //     query counts sum to completed, percentiles are monotone, queue
 //     gauges are non-negative and no drain pays more than its solo
-//     transfer.
+//     transfer. The totals reconcile exactly with the drains summed in
+//     dispatch order: transfer.amortized_ms and summed_solo_ms with their
+//     transfer_ms and solo_transfer_ms, occupancy with their service_ms /
+//     (span_ms x devices); each drain's service_ms is transfer_ms +
+//     compute_ms and its cold_launches never exceed its queries.
 //   devices (bench/sharding) -- per-device chunks and points sum to each
 //     kernel's totals, overlap never exceeds copy-in, and the makespan is
 //     the slowest device's busy time, bounded by the summed busy time.
@@ -598,6 +602,55 @@ int check_serving(const JsonValue& serving) {
     return fail("serving.drains: per-drain queries sum to " +
                 std::to_string(drained) + " but completed is " +
                 std::to_string(completed));
+
+  // The block's totals reconcile with its drains exactly: each is summed
+  // in dispatch order, as the session sums it. The session adds up busy
+  // time apart from its drain log, so occupancy also catches a log that
+  // hands back the wrong drain. A second pass, so a drain's shape fault
+  // above is reported before any sum it spoils.
+  double amortized = 0;
+  double solo = 0;
+  double busy = 0;
+  for (std::size_t i = 0; i < drains->arr_v.size(); ++i) {
+    const JsonValue& d = *drains->arr_v[i];
+    const std::string at = "serving.drains[" + std::to_string(i) + "]";
+    const double transfer = d.find("transfer_ms")->as_number();
+    const double compute = d.find("compute_ms")->as_number();
+    const double service = d.find("service_ms")->as_number();
+    if (service != transfer + compute)
+      return fail(at + ": service_ms " + tt::obs::json_number(service) +
+                  " is not transfer_ms + compute_ms = " +
+                  tt::obs::json_number(transfer + compute));
+    if (d.find("cold_launches")->as_uint() > d.find("queries")->as_uint())
+      return fail(at + ": cold_launches exceed queries");
+    amortized += transfer;
+    solo += d.find("solo_transfer_ms")->as_number();
+    busy += service;
+  }
+  auto check_total = [&](const char* field, double sum) {
+    const JsonValue* v = serving.find("transfer")->find(field);
+    if (!v)
+      return fail(std::string("serving.transfer: missing \"") + field + "\"");
+    if (v->as_number() != sum)
+      return fail(std::string("serving.transfer.") + field + " " +
+                  tt::obs::json_number(v->as_number()) +
+                  " is not the drains' sum " + tt::obs::json_number(sum));
+    return 0;
+  };
+  if (int rc = check_total("amortized_ms", amortized)) return rc;
+  if (int rc = check_total("summed_solo_ms", solo)) return rc;
+  const double span = serving.find("span_ms")->as_number();
+  const double devices =
+      static_cast<double>(serving.find("devices")->as_uint());
+  const double occupancy = serving.find("occupancy")->as_number();
+  const double busy_share = span > 0 ? busy / (span * devices) : 0;
+  if (occupancy != busy_share)
+    return fail("serving.occupancy " + tt::obs::json_number(occupancy) +
+                " is not the drains' summed service_ms " +
+                tt::obs::json_number(busy) + " / (span_ms " +
+                tt::obs::json_number(span) + " x devices " +
+                tt::obs::json_number(devices) +
+                ") = " + tt::obs::json_number(busy_share));
 
   if (const JsonValue* sweep = serving.find("sweep")) {
     if (!sweep->is_array()) return fail("serving.sweep: not an array");
