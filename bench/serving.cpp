@@ -117,12 +117,6 @@ int main(int argc, char** argv) {
   cli.add_int("devices", 1,
               "simulated device count; each wave dispatches to the "
               "earliest-free device (1 = the single-device model)");
-  cli.add_int("shard-chunk", 0,
-              "points per pipelined upload chunk: each wave's copy-in "
-              "overlaps its compute and only the exposed portion is "
-              "charged (0 = synchronous single-shot round trip)");
-  cli.add_string("batch-policy", "round_robin",
-                 "wave chunk interleaving: round_robin or sequential");
   cli.add_string("serve-variant", "auto_select",
                  "the composition every served launch simulates");
   cli.add_flag("sweep", true,
@@ -196,7 +190,6 @@ int main(int argc, char** argv) {
     ServingConfig scfg;
     scfg.device = device;
     scfg.transfer = transfer;
-    scfg.policy = batch_policy_from_name(cli.get_string("batch-policy"));
     const long long max_batch = cli.get_int("drain-max-batch");
     if (max_batch <= 0)
       throw std::invalid_argument("--drain-max-batch must be >= 1");
@@ -206,9 +199,6 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--queue-capacity must be >= 1");
     scfg.queue_capacity = static_cast<std::size_t>(capacity);
     scfg.devices = devices;
-    if (cli.get_int("shard-chunk") < 0)
-      throw std::invalid_argument("--shard-chunk must be >= 0");
-    scfg.shard_chunk = static_cast<std::size_t>(cli.get_int("shard-chunk"));
     scfg.chrome = chrome.collector();
 
     ServingRunSummary summary;
@@ -216,9 +206,7 @@ int main(int argc, char** argv) {
     summary.rate_qps = rate_qps;
     summary.n_queries = n_queries;
     summary.devices = scfg.devices;
-    summary.shard_chunk = scfg.shard_chunk;
     summary.drain = scfg.drain;
-    summary.policy = scfg.policy;
     summary.variant = mode.variant();
     summary.queue_capacity = scfg.queue_capacity;
     summary.transfer = transfer;

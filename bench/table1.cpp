@@ -43,7 +43,7 @@ void add_rows(Table& table, const BenchRow& row) {
         input_name(row.config.input),
         row.config.sorted ? "sorted" : "unsorted",
         lockstep ? "L" : "N",
-        fmt_fixed(v.time_ms, 3),
+        fmt_fixed(v.time.total_ms, 3),
         fmt_fixed(v.avg_nodes, 0),
         fmt_fixed(row.speedup_vs_1(v), 2),
         fmt_fixed(row.speedup_vs_32(v), 2),
@@ -79,11 +79,11 @@ void add_rows(Table& table, const BenchRow& row) {
       input_name(row.config.input),
       row.config.sorted ? "sorted" : "unsorted",
       chose_lockstep ? "A[L]" : "A[N]",
-      fmt_fixed(av.time_ms, 3),
+      fmt_fixed(av.time.total_ms, 3),
       fmt_fixed(av.avg_nodes, 0),
       fmt_fixed(row.speedup_vs_1(av), 2),
       fmt_fixed(row.speedup_vs_32(av), 2),
-      rec.ok() ? fmt_percent(rec.time_ms / av.time_ms - 1.0) : "-",
+      rec.ok() ? fmt_percent(rec.time.total_ms / av.time.total_ms - 1.0) : "-",
       fmt_fixed(row.transfer_ms(), 3),
   });
 }

@@ -54,7 +54,7 @@ for row in report["rows"]:
             continue
         entry = {
             "instr_cycles": v["stats"]["instr_cycles"],
-            "modelled_ms": v["time_ms"],
+            "modelled_ms": v["time"]["total_ms"],
             "host_sim_wall_ms": v.get("sim_wall_ms"),
         }
         if "selection" in v:

@@ -7,7 +7,6 @@
 #include "bench_algos/bh/barnes_hut.h"
 #include "bench_algos/knn/knn.h"
 #include "bench_algos/nn/nearest_neighbor.h"
-#include "bench_algos/pc/point_correlation.h"
 #include "bench_algos/register_kernels.h"
 #include "bench_algos/vp/vantage_point.h"
 #include "core/cpu_executors.h"
@@ -16,9 +15,7 @@
 #include "cpu/parallel.h"
 #include "obs/chrome_trace.h"
 #include "obs/profile.h"
-#include "spatial/kdtree.h"
 #include "spatial/octree.h"
-#include "spatial/vptree.h"
 
 namespace tt {
 
@@ -107,7 +104,6 @@ VariantResult to_variant(const KernelStats& stats, const TimeBreakdown& time,
   VariantResult v;
   v.stats = stats;
   v.time = time;
-  v.time_ms = time.total_ms;
   v.avg_nodes = avg_nodes;
   v.sim_wall_ms = sim_wall_ms;
   return v;
@@ -233,11 +229,10 @@ void accumulate(BenchRow& row, const BenchRow& step, int steps_so_far) {
     // One failed timestep poisons the variant's whole-run measurement.
     if (!b.ok() && a.ok()) a.error = b.error;
     if (!a.ok()) return;
-    a.time_ms += b.time_ms;  // total traversal time, like the paper
     a.time.compute_ms += b.time.compute_ms;
     a.time.memory_ms += b.time.memory_ms;
     a.time.select_ms += b.time.select_ms;
-    a.time.total_ms += b.time.total_ms;
+    a.time.total_ms += b.time.total_ms;  // total traversal time, like the paper
     a.time.memory_bound = a.time.memory_ms > a.time.compute_ms;
     a.avg_nodes = a.avg_nodes * (1.0 - w) + b.avg_nodes * w;  // per step
     a.time.imbalance =
@@ -338,40 +333,34 @@ BenchRow run_bench(const BenchConfig& cfg) {
       break;
     }
     case Algo::kPC: {
-      PointSet pts = make_points(req);
-      KdTree tree = build_kdtree(pts, cfg.leaf_size);
-      float r = pc_pick_radius(pts, cfg.pc_target_neighbors, cfg.seed);
-      PointCorrelationKernel k(tree, pts, r, space);
-      run_all(row, cfg, k, space,
+      const auto cell = build_pc_bundle(req, space);
+      run_all(row, cfg, *cell->k, space,
               [](std::uint32_t a, std::uint32_t b) { return a == b; });
       break;
     }
     case Algo::kKNN: {
-      PointSet pts = make_points(req);
-      KdTree tree = build_kdtree(pts, cfg.leaf_size);
-      KnnKernel k(tree, pts, cfg.k, space);
-      run_all(row, cfg, k, space, [](const KnnResult& a, const KnnResult& b) {
-        return nearly_equal(a.kth_d2, b.kth_d2, 1e-4f) &&
-               nearly_equal(a.sum_d2, b.sum_d2, 1e-3f);
-      });
+      const auto cell = build_knn_bundle(req, space);
+      run_all(row, cfg, *cell->k, space,
+              [](const KnnResult& a, const KnnResult& b) {
+                return nearly_equal(a.kth_d2, b.kth_d2, 1e-4f) &&
+                       nearly_equal(a.sum_d2, b.sum_d2, 1e-3f);
+              });
       break;
     }
     case Algo::kNN: {
-      PointSet pts = make_points(req);
-      KdTreeNN tree = build_kdtree_nn(pts);
-      NnKernel k(tree, pts, space);
-      run_all(row, cfg, k, space, [](const NnResult& a, const NnResult& b) {
-        return nearly_equal(a.best_d2, b.best_d2, 1e-4f);
-      });
+      const auto cell = build_nn_bundle(req, space);
+      run_all(row, cfg, *cell->k, space,
+              [](const NnResult& a, const NnResult& b) {
+                return nearly_equal(a.best_d2, b.best_d2, 1e-4f);
+              });
       break;
     }
     case Algo::kVP: {
-      PointSet pts = make_points(req);
-      VpTree tree = build_vptree(pts, cfg.seed ^ 0x7b1fa2);
-      VpKernel k(tree, pts, space);
-      run_all(row, cfg, k, space, [](const VpResult& a, const VpResult& b) {
-        return nearly_equal(a.best_d, b.best_d, 1e-4f);
-      });
+      const auto cell = build_vp_bundle(req, space);
+      run_all(row, cfg, *cell->k, space,
+              [](const VpResult& a, const VpResult& b) {
+                return nearly_equal(a.best_d, b.best_d, 1e-4f);
+              });
       break;
     }
   }
@@ -417,7 +406,6 @@ ShardingRunSummary run_sharding(const ShardingConfig& config) {
     spec.kernel = pl->handle;
     spec.space = &pl->space;
     spec.mode = GpuMode::from(config.variant);
-    spec.mode.grid_limit = config.grid_limit;
     spec.mode.profile_samples = item.profile_samples;
     spec.mode.profile_seed = item.profile_seed;
 
@@ -449,7 +437,7 @@ std::vector<CpuSweepPoint> cpu_sweep(const BenchRow& row, bool lockstep,
     CpuSweepPoint p;
     p.threads = t;
     p.cpu_ms = row.cpu_model.time_ms(row.cpu_t1_ms, t);
-    p.ratio_vs_gpu = v.time_ms / p.cpu_ms;
+    p.ratio_vs_gpu = v.time.total_ms / p.cpu_ms;
     out.push_back(p);
   }
   return out;

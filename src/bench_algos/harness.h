@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_scheduler.h"
 #include "core/device_group.h"
 #include "core/kernel_factory.h"
 #include "core/serving.h"
@@ -94,10 +93,9 @@ struct BenchConfig {
 };
 
 struct VariantResult {
-  double time_ms = 0;       // modelled GPU time (== time.total_ms)
   double avg_nodes = 0;     // the paper's "Avg. # Nodes" column
   KernelStats stats;
-  TimeBreakdown time;       // the cost model's full breakdown
+  TimeBreakdown time;       // modelled GPU time: the cost model's breakdown
   double sim_wall_ms = 0;
   // auto_select only: the launch-time decision record (exported as the
   // "selection" block of the RunReport JSON). BH accumulates it across
@@ -152,10 +150,10 @@ struct BenchRow {
 
   // Derived columns (Table 1).
   double speedup_vs_1(const VariantResult& v) const {
-    return cpu_t1_ms / v.time_ms;
+    return cpu_t1_ms / v.time.total_ms;
   }
   double speedup_vs_32(const VariantResult& v) const {
-    return cpu_model.time_ms(cpu_t1_ms, 32) / v.time_ms;
+    return cpu_model.time_ms(cpu_t1_ms, 32) / v.time.total_ms;
   }
   // "Improv. vs Recurse": like-for-like autoropes vs recursive GPU.
   double improvement_vs_recursive(bool lockstep) const {
@@ -163,7 +161,7 @@ struct BenchRow {
                                              : Variant::kAutoNolockstep);
     const VariantResult& r = result(lockstep ? Variant::kRecLockstep
                                              : Variant::kRecNolockstep);
-    return r.time_ms / a.time_ms - 1.0;
+    return r.time.total_ms / a.time.total_ms - 1.0;
   }
 };
 
@@ -191,9 +189,10 @@ BenchRow run_bench(const BenchConfig& config);
 // One prepared benchmark kernel, fully owned: the launch's address space
 // plus a handle whose keep-alive parks the generated input, tree and
 // kernel object so everything outlives the run. Built by KernelFactory
-// from kernel_request(cfg), the same input run_bench traverses for the
-// item's solo row. This is the unit bench/serving submits as a core
-// QuerySet, and what run_sharding builds per item.
+// from kernel_request(cfg) -- the builder whose typed bundle run_bench
+// runs for the item's solo row (register_kernels.h). This is the unit
+// bench/serving submits as a core QuerySet, and what run_sharding builds
+// per item.
 struct PreparedKernel {
   GpuAddressSpace space;
   std::shared_ptr<KernelHandle> handle;
@@ -222,7 +221,6 @@ struct ShardingConfig {
   BatchPolicy policy = BatchPolicy::kWorkStealing;
   std::size_t devices = 2;
   std::size_t chunk_points = 1024;  // pipelined upload granularity
-  std::size_t grid_limit = 0;       // Figure 9b strip-mining, per device
   DeviceConfig device;              // each device of the homogeneous group
   TransferModel transfer;
   // Per-device Chrome tracks "dev<d>/<kernel>" (copy + compute overlap).

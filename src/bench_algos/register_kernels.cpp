@@ -75,6 +75,43 @@ BodySet make_bodies(const KernelRequest& req) {
   return bodies;
 }
 
+std::shared_ptr<PcBundle> build_pc_bundle(const KernelRequest& req,
+                                          GpuAddressSpace& space) {
+  auto b = std::make_shared<PcBundle>();
+  b->pts = make_points(req);
+  b->tree = build_kdtree(b->pts, req.leaf_size);
+  const float r = pc_pick_radius(b->pts, req.pc_target_neighbors, req.seed);
+  b->k.emplace(b->tree, b->pts, r, space);
+  return b;
+}
+
+std::shared_ptr<KnnBundle> build_knn_bundle(const KernelRequest& req,
+                                            GpuAddressSpace& space) {
+  auto b = std::make_shared<KnnBundle>();
+  b->pts = make_points(req);
+  b->tree = build_kdtree(b->pts, req.leaf_size);
+  b->k.emplace(b->tree, b->pts, req.k, space);
+  return b;
+}
+
+std::shared_ptr<NnBundle> build_nn_bundle(const KernelRequest& req,
+                                          GpuAddressSpace& space) {
+  auto b = std::make_shared<NnBundle>();
+  b->pts = make_points(req);
+  b->tree = build_kdtree_nn(b->pts);
+  b->k.emplace(b->tree, b->pts, space);
+  return b;
+}
+
+std::shared_ptr<VpBundle> build_vp_bundle(const KernelRequest& req,
+                                          GpuAddressSpace& space) {
+  auto b = std::make_shared<VpBundle>();
+  b->pts = make_points(req);
+  b->tree = build_vptree(b->pts, req.seed ^ 0x7b1fa2);
+  b->k.emplace(b->tree, b->pts, space);
+  return b;
+}
+
 namespace {
 
 // Each builder parks its data + tree + kernel in a bundle behind the
@@ -97,64 +134,12 @@ std::shared_ptr<KernelHandle> build_bh(const KernelRequest& req,
   return make_kernel_handle(*b->k, b);
 }
 
-struct PcBundle {
-  PointSet pts;
-  KdTree tree;
-  std::optional<PointCorrelationKernel> k;
-};
-
-std::shared_ptr<KernelHandle> build_pc(const KernelRequest& req,
-                                       GpuAddressSpace& space) {
-  auto b = std::make_shared<PcBundle>();
-  b->pts = make_points(req);
-  b->tree = build_kdtree(b->pts, req.leaf_size);
-  const float r = pc_pick_radius(b->pts, req.pc_target_neighbors, req.seed);
-  b->k.emplace(b->tree, b->pts, r, space);
-  return make_kernel_handle(*b->k, b);
-}
-
-struct KnnBundle {
-  PointSet pts;
-  KdTree tree;
-  std::optional<KnnKernel> k;
-};
-
-std::shared_ptr<KernelHandle> build_knn(const KernelRequest& req,
+// A typed bundle builder as a factory builder: the handle's keep-alive is
+// the bundle itself.
+template <auto BuildBundle>
+std::shared_ptr<KernelHandle> handle_of(const KernelRequest& req,
                                         GpuAddressSpace& space) {
-  auto b = std::make_shared<KnnBundle>();
-  b->pts = make_points(req);
-  b->tree = build_kdtree(b->pts, req.leaf_size);
-  b->k.emplace(b->tree, b->pts, req.k, space);
-  return make_kernel_handle(*b->k, b);
-}
-
-struct NnBundle {
-  PointSet pts;
-  KdTreeNN tree;
-  std::optional<NnKernel> k;
-};
-
-std::shared_ptr<KernelHandle> build_nn(const KernelRequest& req,
-                                       GpuAddressSpace& space) {
-  auto b = std::make_shared<NnBundle>();
-  b->pts = make_points(req);
-  b->tree = build_kdtree_nn(b->pts);
-  b->k.emplace(b->tree, b->pts, space);
-  return make_kernel_handle(*b->k, b);
-}
-
-struct VpBundle {
-  PointSet pts;
-  VpTree tree;
-  std::optional<VpKernel> k;
-};
-
-std::shared_ptr<KernelHandle> build_vp(const KernelRequest& req,
-                                       GpuAddressSpace& space) {
-  auto b = std::make_shared<VpBundle>();
-  b->pts = make_points(req);
-  b->tree = build_vptree(b->pts, req.seed ^ 0x7b1fa2);
-  b->k.emplace(b->tree, b->pts, space);
+  auto b = BuildBundle(req, space);
   return make_kernel_handle(*b->k, b);
 }
 
@@ -239,10 +224,10 @@ void register_bench_kernels() {
   static const bool once = [] {
     KernelFactory& f = KernelFactory::instance();
     f.register_builder("bh", build_bh);
-    f.register_builder("pc", build_pc);
-    f.register_builder("knn", build_knn);
-    f.register_builder("nn", build_nn);
-    f.register_builder("vp", build_vp);
+    f.register_builder("pc", handle_of<build_pc_bundle>);
+    f.register_builder("knn", handle_of<build_knn_bundle>);
+    f.register_builder("nn", handle_of<build_nn_bundle>);
+    f.register_builder("vp", handle_of<build_vp_bundle>);
     f.register_builder("rope_knn", build_rope_knn);
     f.register_builder("rope_nn", build_rope_nn);
     f.register_builder("fused_knn_nn", build_fused_knn_nn);

@@ -13,6 +13,72 @@
 
 namespace tt {
 
+const char* batch_policy_name(BatchPolicy p) {
+  switch (p) {
+    case BatchPolicy::kRoundRobin: return "round_robin";
+    case BatchPolicy::kSequential: return "sequential";
+    case BatchPolicy::kWorkStealing: return "work_stealing";
+  }
+  return "?";
+}
+
+namespace {
+constexpr BatchPolicy kAllBatchPolicies[] = {
+    BatchPolicy::kRoundRobin, BatchPolicy::kSequential,
+    BatchPolicy::kWorkStealing};
+}  // namespace
+
+BatchPolicy batch_policy_from_name(const std::string& name) {
+  for (BatchPolicy p : kAllBatchPolicies)
+    if (name == batch_policy_name(p)) return p;
+  // Same shape as variant_from_name: list every valid spelling so a typo
+  // self-diagnoses at the CLI.
+  std::string valid;
+  for (BatchPolicy p : kAllBatchPolicies) {
+    if (!valid.empty()) valid += ", ";
+    valid += batch_policy_name(p);
+  }
+  throw std::invalid_argument("batch_policy_from_name: unknown policy '" +
+                              name + "' (valid: " + valid + ")");
+}
+
+DeviceAssignment assign_devices(std::span<const double> chunk_costs,
+                                std::size_t n_devices, BatchPolicy policy) {
+  if (n_devices == 0)
+    throw std::invalid_argument("assign_devices: n_devices must be >= 1");
+  DeviceAssignment a;
+  a.device.resize(chunk_costs.size());
+  a.load.assign(n_devices, 0.0);
+  a.chunks.assign(n_devices, 0);
+  a.steals.assign(n_devices, 0);
+  const std::size_t n = chunk_costs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t d = 0;
+    switch (policy) {
+      case BatchPolicy::kRoundRobin:
+        d = i % n_devices;
+        break;
+      case BatchPolicy::kSequential:
+        // Balanced contiguous blocks: device d takes chunks
+        // [d*n/N, (d+1)*n/N).
+        d = i * n_devices / n;
+        break;
+      case BatchPolicy::kWorkStealing:
+        // Online earliest-finish greedy: the device with the least
+        // accumulated cost takes the chunk (ties to the lowest index, so
+        // the assignment is deterministic).
+        for (std::size_t c = 1; c < n_devices; ++c)
+          if (a.load[c] < a.load[d]) d = c;
+        break;
+    }
+    a.device[i] = static_cast<std::uint32_t>(d);
+    a.load[d] += chunk_costs[i];
+    ++a.chunks[d];
+    if (d != i % n_devices) ++a.steals[d];
+  }
+  return a;
+}
+
 double ShardedRun::copy_in_ms() const {
   double s = 0;
   for (const DeviceShard& d : devices) s += d.transfer.copy_in_ms;
@@ -58,7 +124,6 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
     throw std::invalid_argument("run_sharded: cfg.devices must be >= 1");
 
   ShardedRun out;
-  out.policy = cfg.policy;
   out.chunk_points = std::max<std::size_t>(cfg.chunk_points, 1);
 
   // Phase A: the canonical single-device baseline. Resolves auto_select

@@ -13,9 +13,9 @@
 //     number is compared against (single_device_ms = baseline compute +
 //     one synchronous round trip).
 //   - Chunks (logical 32-point warps) are assigned to devices by
-//     assign_devices (core/batch_scheduler.h) using the baseline's own
-//     visit counters as modelled chunk costs -- kWorkStealing's greedy
-//     earliest-finish by default.
+//     assign_devices (below) using the baseline's own visit counters as
+//     modelled chunk costs -- kWorkStealing's greedy earliest-finish by
+//     default.
 //   - Each device then re-executes exactly its chunk list through
 //     LaunchRun::run_shard_slot with its own result/counter storage, its
 //     own L2 slice size (derived from the device's own grid), its own
@@ -39,10 +39,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/batch_scheduler.h"
+#include "core/launch.h"
 #include "simt/transfer_model.h"
 
 namespace tt {
@@ -50,6 +51,49 @@ namespace tt {
 namespace obs {
 class ChromeTraceCollector;  // obs/chrome_trace.h
 }
+
+// ---------------------------------------------------------------------
+// Chunk -> device assignment (the planning step of run_sharded).
+// ---------------------------------------------------------------------
+
+enum class BatchPolicy : std::uint8_t {
+  kRoundRobin = 0,
+  kSequential = 1,
+  kWorkStealing = 2,
+};
+
+[[nodiscard]] const char* batch_policy_name(BatchPolicy p);
+// "round_robin" / "sequential" / "work_stealing"; throws
+// std::invalid_argument otherwise (the error lists the valid spellings,
+// like variant_from_name).
+[[nodiscard]] BatchPolicy batch_policy_from_name(const std::string& name);
+
+// The assignment of a launch's chunks (logical warps) across N simulated
+// devices, plus per-device accounting. `device[i]` is chunk i's device;
+// chunk i's *home* device is i % n_devices, and a chunk assigned elsewhere
+// counts as a steal on the device that took it.
+struct DeviceAssignment {
+  std::vector<std::uint32_t> device;  // per chunk, size == chunk_costs.size()
+  std::vector<double> load;           // accumulated modelled cost per device
+  std::vector<std::size_t> chunks;    // chunks per device
+  std::vector<std::size_t> steals;    // chunks taken off their home device
+};
+
+// Assign chunks with modelled costs to `n_devices` devices under `policy`:
+//   kRoundRobin    chunk i -> device i % n (every chunk stays home)
+//   kSequential    contiguous blocks, balanced by chunk count
+//   kWorkStealing  greedy earliest-finish: each chunk, in issue order, goes
+//                  to the device with the least accumulated cost (ties to
+//                  the lowest index) -- the classic online makespan greedy
+// Deterministic for a given (costs, n_devices, policy). Throws
+// std::invalid_argument on n_devices == 0.
+[[nodiscard]] DeviceAssignment assign_devices(std::span<const double> chunk_costs,
+                                              std::size_t n_devices,
+                                              BatchPolicy policy);
+
+// ---------------------------------------------------------------------
+// Sharded launches.
+// ---------------------------------------------------------------------
 
 struct DeviceGroupConfig {
   std::size_t devices = 1;
@@ -95,7 +139,6 @@ struct ShardedRun {
   LaunchResult merged;
   std::vector<DeviceShard> devices;
   std::size_t chunk_points = 0;
-  BatchPolicy policy = BatchPolicy::kWorkStealing;
   double single_device_ms = 0;  // baseline compute + synchronous round trip
   double makespan_ms = 0;       // slowest device's busy time
   double speedup = 0;           // single_device_ms / makespan_ms

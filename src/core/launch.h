@@ -701,8 +701,8 @@ struct LaunchSpec {
 
 // Type-erased per-launch measurement of a batched run. Mirrors GpuRun<K>
 // with raw result bytes instead of a typed vector; stats / time /
-// selection stay isolated per launch (only transfer accounting is
-// batch-level, see batch_scheduler.h).
+// selection stay isolated per launch (only transfer and schedule
+// accounting are batch-level, see core/serving.h).
 struct LaunchResult {
   std::string kernel_name;
   std::size_t batch_index = 0;

@@ -83,8 +83,8 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
 
   // The concurrent-residency pool: every launch's physical warp slots,
   // simulated in parallel. Slot state is fully launch-private, so OpenMP
-  // scheduling (and the caller's issue policy) cannot change any launch's
-  // measurements -- only the schedule accounting differs across policies.
+  // scheduling (and the chunk order wave_schedule accounts) cannot change
+  // any launch's measurements.
   struct Slot {
     std::uint32_t launch = 0;
     std::uint32_t p = 0;
@@ -154,6 +154,29 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
     out.launches.push_back(std::move(r));
   }
   return out;
+}
+
+WaveSchedule wave_schedule(std::span<const LaunchGeometry> shapes) {
+  WaveSchedule s;
+  auto rounds_of = [](const LaunchGeometry& g) {
+    return g.grid == 0 ? std::size_t{0} : (g.n_warps + g.grid - 1) / g.grid;
+  };
+  for (const LaunchGeometry& g : shapes) {
+    s.residency += g.grid;
+    s.total_chunks += g.n_warps;
+    s.rounds = std::max(s.rounds, rounds_of(g));
+  }
+  // Every round of a launch holds at least one chunk, so the sequence
+  // switches launches exactly where two consecutive launch-rounds come
+  // from different launches.
+  std::size_t prev = shapes.size();  // none yet
+  for (std::size_t r = 0; r < s.rounds; ++r)
+    for (std::size_t l = 0; l < shapes.size(); ++l) {
+      if (r >= rounds_of(shapes[l])) continue;
+      if (prev != shapes.size() && prev != l) ++s.switches;
+      prev = l;
+    }
+  return s;
 }
 
 // ---------------------------------------------------------------------
@@ -246,8 +269,7 @@ double ServingReport::summed_solo_transfer_ms() const {
   return sum;
 }
 
-ServingSession::ServingSession(ServingConfig cfg)
-    : cfg_(std::move(cfg)), sched_(cfg_.policy) {
+ServingSession::ServingSession(ServingConfig cfg) : cfg_(std::move(cfg)) {
   auto require = [](std::size_t v, const char* field) {
     if (v == 0)
       throw std::invalid_argument(std::string("ServingSession: ") + field +
@@ -349,8 +371,9 @@ void ServingSession::fire(double start_ms) {
   // concrete mode, never sampling again. Keeping the executed stats is
   // always sound: batching is results-neutral, so they match what solo
   // would measure. Only cold launches copy their spec.
+  constexpr std::size_t kMaxDrainTracks = 32;  // traced drains per session
   const std::size_t drain_index = drains_->size();
-  const bool tracing = cfg_.chrome && drain_index < cfg_.max_drain_tracks;
+  const bool tracing = cfg_.chrome && drain_index < kMaxDrainTracks;
   admits_.assign(n, Measured{});
   cold_.clear();
   cold_to_admit_.clear();
@@ -396,59 +419,39 @@ void ServingSession::fire(double start_ms) {
 
   // Schedule accounting over the whole wave, warm launches included: the
   // modelled device still runs them; only the re-simulation was skipped.
-  sched_.clear();
-  for (const Measured& m : admits_) sched_.add_launch(m.shape);
-  const BatchSchedule bs = sched_.schedule();
-  rec.residency = static_cast<std::uint32_t>(bs.residency);
-  rec.total_chunks = static_cast<std::uint32_t>(bs.total_chunks);
-  rec.rounds = static_cast<std::uint32_t>(bs.rounds);
-  rec.switches = static_cast<std::uint32_t>(bs.switches);
+  shapes_.clear();
+  for (const Measured& m : admits_) shapes_.push_back(m.shape);
+  const WaveSchedule ws = wave_schedule(shapes_);
+  rec.residency = static_cast<std::uint32_t>(ws.residency);
+  rec.total_chunks = static_cast<std::uint32_t>(ws.total_chunks);
+  rec.rounds = static_cast<std::uint32_t>(ws.rounds);
+  rec.switches = static_cast<std::uint32_t>(ws.switches);
 
   // One amortized round trip for the wave vs what solo dispatch would pay.
   std::uint64_t up = 0;
   std::uint64_t down = 0;
-  std::size_t wave_points = 0;
   for (const Pending& p : wave_) {
     up += p.q.upload_bytes;
     down += p.q.download_bytes;
-    wave_points += p.q.spec.kernel->num_points();
     rec.solo_transfer_ms += cfg_.transfer.round_trip_ms(
         p.q.upload_bytes, p.q.download_bytes, 1);
   }
+  rec.transfer_ms = cfg_.transfer.round_trip_ms(up, down, 1);
+  for (const Measured& m : admits_) rec.compute_ms += m.total_ms;
 
-  double total_compute = 0;
-  for (const Measured& m : admits_) total_compute += m.total_ms;
-  rec.compute_ms = total_compute;
-  if (cfg_.shard_chunk > 0) {
-    // Pipelined wave upload: copy-in strip-mined into shard_chunk-point
-    // copies overlapping the wave's compute; only the exposed portion is
-    // charged as the wave's transfer time.
-    const std::size_t chunks = std::max<std::size_t>(
-        (wave_points + cfg_.shard_chunk - 1) / cfg_.shard_chunk, 1);
-    rec.transfer_ms =
-        cfg_.transfer.pipelined_round_trip(up, down, total_compute, chunks)
-            .exposed_ms;
-  } else {
-    rec.transfer_ms = cfg_.transfer.round_trip_ms(up, down, 1);
-  }
-
-  // Per-query completion = queueing + wave transfer + compute. Sequential
-  // issue retires each launch in admission order (prefix sums of compute);
-  // round-robin interleaves waves, so every query retires with the wave.
-  double prefix = 0;
+  // The wave's chunks interleave, so every query retires with the wave,
+  // at dispatch + the wave's transfer + its summed compute. A latency is
+  // summed as (queueing + transfer + compute) rather than
+  // completion - arrival: mathematically identical, but immune to the
+  // big-minus-big cancellation that would make a query's latency depend
+  // on how far into the trace it arrived.
+  last_completion_ms_ =
+      std::max(last_completion_ms_,
+               rec.dispatch_ms + rec.transfer_ms + rec.compute_ms);
   for (std::size_t i = 0; i < n; ++i) {
-    prefix += admits_[i].total_ms;
-    const double offset =
-        cfg_.policy == BatchPolicy::kSequential ? prefix : total_compute;
-    const double completion = rec.dispatch_ms + rec.transfer_ms + offset;
-    // Summed as (queueing + transfer + compute) rather than
-    // completion - arrival: mathematically identical, but immune to the
-    // big-minus-big cancellation that would make a query's latency depend
-    // on how far into the trace it arrived.
     const double queued = rec.dispatch_ms - wave_[i].arrival_ms;
-    latencies_.push_back(queued + rec.transfer_ms + offset);
+    latencies_.push_back(queued + rec.transfer_ms + rec.compute_ms);
     queue_delays_.push_back(queued);
-    last_completion_ms_ = std::max(last_completion_ms_, completion);
     if (!admits_[i].ok) ++failed_;
   }
   wave_.clear();
@@ -460,7 +463,6 @@ void ServingSession::fire(double start_ms) {
 ServingReport ServingSession::report() const {
   ServingReport r;
   r.devices = cfg_.devices;
-  r.shard_chunk = cfg_.shard_chunk;
   r.submitted = submitted_;
   r.completed = latencies_.size();
   r.dropped = dropped_;

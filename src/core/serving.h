@@ -12,9 +12,8 @@
 //     and the batch / serving entry point of the launch engine. Resolves
 //     auto_select per launch, simulates every slot, returns per-launch
 //     isolated LaunchResults plus their shapes. Pure execution -- no
-//     policy, no schedule accounting, no timing model. A closed batch
-//     (everything known up front) is one call; feed the shapes to
-//     BatchScheduler for its schedule accounting.
+//     schedule accounting, no timing model. A closed batch (everything
+//     known up front) is one call; wave_schedule accounts its shapes.
 //
 //   ServingSession
 //     The admission layer: a session object owning a ring-buffer
@@ -22,19 +21,20 @@
 //     arrival order; the session drains it work-conservingly (DrainPolicy:
 //     a wave starts the moment a device is idle and a query is waiting,
 //     and takes up to max_batch pending queries), dispatches each drained
-//     wave through BatchScheduler + run_launch_pool, and derives
-//     per-query completion times from the simulated cost model:
-//     queueing delay (dispatch - arrival, i.e. waiting for a device to go
-//     idle) + the wave's amortized transfer + the launch's modelled
-//     compute. The session decides each (kernel, mode) pair once: its
-//     first execution takes the section-4.4 decision (sampling, and
-//     paying the prologue, when the mode is auto_select), and every later
-//     admission of the pair runs as the composition it dispatched, charged
-//     that composition's own time. Such a resubmission replays the decided
-//     measurements -- exact, because batching is results-neutral by
-//     construction -- which is what makes million-query traces
-//     affordable; when it must execute instead it runs the decided mode
-//     and never samples again, so its latency is the same. Each wave
+//     wave through run_launch_pool, and derives per-query completion
+//     times from the simulated cost model: every query of a wave retires
+//     with the wave, at queueing delay (dispatch - arrival, i.e. waiting
+//     for a device to go idle) + the wave's one synchronous round trip +
+//     the wave's summed modelled compute. The session decides each
+//     (kernel, mode) pair once: its first execution takes the
+//     section-4.4 decision (sampling, and paying the prologue, when the
+//     mode is auto_select), and every later admission of the pair runs
+//     as the composition it dispatched, charged that composition's own
+//     time. Such a resubmission replays the decided measurements --
+//     exact, because batching is results-neutral by construction --
+//     which is what makes million-query traces affordable; when it must
+//     execute instead it runs the decided mode and never samples again,
+//     so its latency is the same. Each wave
 //     appends one 16-byte entry to the session's dictionary-encoded drain
 //     log (DrainLog), so a million waves of one cost about 16 MB of log.
 //
@@ -54,7 +54,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_scheduler.h"
+#include "core/launch.h"
 #include "simt/device_config.h"
 #include "simt/transfer_model.h"
 #include "util/stats.h"
@@ -71,8 +71,7 @@ class ChromeTraceCollector;  // obs/chrome_trace.h
 
 // Result of simulating a set of LaunchSpecs as one device residency:
 // per-launch isolated measurements (LaunchResult order == spec order)
-// plus each launch's geometry, which the caller feeds to BatchScheduler
-// for schedule accounting.
+// plus each launch's geometry, which wave_schedule accounts.
 struct LaunchPool {
   std::vector<LaunchResult> launches;
   std::vector<LaunchGeometry> shapes;
@@ -86,6 +85,22 @@ struct LaunchPool {
 // space, or on auto_select with profile_samples == 0.
 [[nodiscard]] LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
                                          const DeviceConfig& cfg);
+
+// The chunk schedule of launches sharing one device residency. Each
+// launch is strip-mined exactly like its solo run (LaunchGeometry: grid
+// physical warps walk n_warps chunks, so it needs ceil(n_warps / grid)
+// rounds), and the rounds interleave round-robin: round r issues one
+// residency-set of chunks from every launch that has an r-th round, in
+// launch order, before any launch's round r + 1. The order shapes only
+// this accounting -- every launch's results and stats are its solo run's.
+struct WaveSchedule {
+  std::size_t residency = 0;     // sum of the launches' physical-warp grids
+  std::size_t total_chunks = 0;  // sum of the launches' logical warps
+  std::size_t rounds = 0;        // residency refills: most of any launch
+  std::size_t switches = 0;      // adjacent chunks of different launches
+};
+[[nodiscard]] WaveSchedule wave_schedule(
+    std::span<const LaunchGeometry> shapes);
 
 // ---------------------------------------------------------------------
 // Admission layer.
@@ -121,13 +136,6 @@ struct ServingConfig {
   // semantics stay unchanged. 1 keeps the single-device model
   // byte-for-byte.
   std::size_t devices = 1;
-  // Pipelined wave uploads: when > 0, each drained wave's copy-in is
-  // strip-mined into ceil(wave points / shard_chunk) chunks overlapped
-  // with the wave's compute (simt/transfer_model.h pipelined mode), and
-  // DrainRecord::transfer_ms records only the *exposed* portion. 0 keeps
-  // the synchronous single-shot round trip byte-for-byte.
-  std::size_t shard_chunk = 0;
-  BatchPolicy policy = BatchPolicy::kRoundRobin;
   DrainPolicy drain;
   TransferModel transfer;
   // Ring-buffer admission queue capacity: it bounds every query not yet
@@ -142,11 +150,10 @@ struct ServingConfig {
   // dispatched, without sampling, so both settings give the same
   // latencies.
   bool reuse_identical = true;
-  // When set, each drained wave's executed launches open Chrome-trace
-  // tracks named "drain<i>/<kernel>", so admission waves are visible as
-  // per-drain process tracks in Perfetto.
+  // When set, the executed launches of each of the first 32 drained
+  // waves open Chrome-trace tracks named "drain<i>/<kernel>", so
+  // admission waves are visible as per-drain process tracks in Perfetto.
   obs::ChromeTraceCollector* chrome = nullptr;
-  std::size_t max_drain_tracks = 32;  // cap on traced drains
 };
 
 // Latency distribution over modelled per-query times.
@@ -166,17 +173,14 @@ struct LatencySummary {
 // sees. The log itself stores it split in two (see DrainLog).
 struct DrainRecord {
   double dispatch_ms = 0;  // max(oldest pending arrival, device free)
-  // One amortized round trip for the wave; under pipelined uploads
-  // (ServingConfig::shard_chunk > 0) only the exposed, non-overlapped
-  // portion -- service_ms() = transfer_ms + compute_ms either way.
-  double transfer_ms = 0;
+  double transfer_ms = 0;  // the wave's one amortized round trip
   double solo_transfer_ms = 0;  // what the same queries pay one-by-one
   double compute_ms = 0;        // sum of the wave's modelled kernel times
   std::uint32_t device = 0;     // the earliest-free device, which ran it
   std::uint32_t n_queries = 0;
   std::uint32_t queue_depth_before = 0;  // pending count when fired
   std::uint32_t cold_launches = 0;       // executed (vs replayed)
-  // BatchSchedule accounting over the wave under ServingConfig::policy.
+  // The wave's round-robin chunk schedule (wave_schedule).
   std::uint32_t residency = 0;
   std::uint32_t total_chunks = 0;
   std::uint32_t rounds = 0;
@@ -321,8 +325,7 @@ class DrainLogView {
 };
 
 struct ServingReport {
-  std::size_t devices = 1;     // simulated devices serving the session
-  std::size_t shard_chunk = 0;  // pipelined upload chunk (0 = single-shot)
+  std::size_t devices = 1;  // simulated devices serving the session
   std::size_t submitted = 0;
   std::size_t completed = 0;  // admitted and served (failures included)
   std::size_t dropped = 0;    // ring buffer full at submit
@@ -454,7 +457,7 @@ class ServingSession {
   std::vector<Measured> admits_;  // per wave query, in admission order
   std::vector<LaunchSpec> cold_;  // the wave's executed launches
   std::vector<std::size_t> cold_to_admit_;
-  BatchScheduler sched_;
+  std::vector<LaunchGeometry> shapes_;  // per wave query, for wave_schedule
 
   // Telemetry accumulators: scalars, two doubles per query served and one
   // 16-byte log entry per drain, so million-query traces stay small.
@@ -514,9 +517,7 @@ struct ServingRunSummary {
   double rate_qps = 0;
   std::size_t n_queries = 0;
   std::size_t devices = 1;
-  std::size_t shard_chunk = 0;
   DrainPolicy drain;
-  BatchPolicy policy = BatchPolicy::kRoundRobin;
   Variant variant = Variant::kAutoSelect;
   std::size_t queue_capacity = 0;
   TransferModel transfer;

@@ -123,7 +123,7 @@ class WarpEngine {
   // `point_visits` is non-null for non-lockstep variants (per-point visit
   // counters, indexed by lane), `warp_pops` for lockstep variants (the
   // chunk's union-traversal pop count). `kernel_id` identifies the owning
-  // launch when the chunk belongs to a batched run (batch_scheduler.h):
+  // launch when the chunk belongs to a batched run (run_launch_pool):
   // batched chunks open with a kChunk trace event carrying the id, solo
   // chunks (the default) emit nothing extra.
   void begin_chunk(std::uint32_t warp, WarpRange range, Result* results,

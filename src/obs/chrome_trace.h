@@ -13,9 +13,9 @@
 // OMP_NUM_THREADS=1 vs N produce byte-identical files.
 //
 // Serving runs (core/serving.h) name their tracks "drain<i>/<kernel>" --
-// one process per executed launch of each admission wave, capped by
-// ServingConfig::max_drain_tracks -- so queueing and wave formation are
-// visible next to the warp activity in Perfetto.
+// one process per executed launch of each of a session's first 32
+// admission waves -- so queueing and wave formation are visible next to
+// the warp activity in Perfetto.
 #pragma once
 
 #include <cstdint>

@@ -156,7 +156,6 @@ void RunReport::write(std::ostream& os) const {
       w.member_object(variant_name(v));
       w.member("ok", r.ok());
       if (!r.ok()) w.member("error", r.error);
-      w.member("time_ms", r.time_ms);
       w.member("avg_nodes", r.avg_nodes);
       w.key("stats");
       write_kernel_stats(w, r.stats);
@@ -217,9 +216,7 @@ void RunReport::write(std::ostream& os) const {
     w.member("rate_qps", s.rate_qps);
     w.member("queries", static_cast<std::uint64_t>(s.n_queries));
     w.member("devices", static_cast<std::uint64_t>(r.devices));
-    w.member("shard_chunk", static_cast<std::uint64_t>(r.shard_chunk));
     w.member("variant", variant_name(s.variant));
-    w.member("policy", batch_policy_name(s.policy));
     w.member_object("drain_policy");
     w.member("max_batch", static_cast<std::uint64_t>(s.drain.max_batch));
     w.end_object();

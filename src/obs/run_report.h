@@ -29,7 +29,7 @@ namespace tt::obs {
 //     sampler knobs, and the DeviceConfig the cost model charged.
 //   rows -- one object per BenchRow (table1 and the other grid binaries):
 //     the config; "variants", one object per kAllVariants entry with
-//     ok/error, time_ms, avg_nodes, stats and time (total_ms = select_ms
+//     ok/error, avg_nodes, stats and time (total_ms = select_ms
 //     + max(compute_ms, memory_ms); select_ms is the auto_select
 //     sampler's serial prologue and 0 on every other variant), the
 //     auto_select launch decision as "selection" (both compositions'
@@ -53,7 +53,7 @@ namespace tt::obs {
 // tools/json_validate accepts only this tag, re-derives every block's
 // invariants, and with --golden compares two whole reports with only
 // git_sha normalized.
-inline constexpr const char* kRunReportSchema = "treetrav.run_report/v14";
+inline constexpr const char* kRunReportSchema = "treetrav.run_report/v15";
 
 // One (fused pair, variant) measurement from bench/fusion: the fused
 // kernel's run next to its sequential baseline -- the same constituents

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+
 namespace tt {
 namespace {
 
@@ -36,15 +39,15 @@ TEST(Harness, PcRowIsInternallyConsistent) {
   EXPECT_GT(row.cpu_t1_ms, 0.0);
   const VariantResult& al = row.result(Variant::kAutoLockstep);
   const VariantResult& an = row.result(Variant::kAutoNolockstep);
-  EXPECT_GT(al.time_ms, 0.0);
-  EXPECT_GT(an.time_ms, 0.0);
-  EXPECT_GT(row.result(Variant::kRecNolockstep).time_ms, 0.0);
+  EXPECT_GT(al.time.total_ms, 0.0);
+  EXPECT_GT(an.time.total_ms, 0.0);
+  EXPECT_GT(row.result(Variant::kRecNolockstep).time.total_ms, 0.0);
   // Lockstep union traversal >= per-point traversal on average.
   EXPECT_GE(al.avg_nodes, an.avg_nodes);
   // Work expansion is at least 1 by construction.
   EXPECT_GE(row.work_expansion.mean, 1.0);
   // Speedup columns derive from the stored numbers.
-  EXPECT_NEAR(row.speedup_vs_1(al), row.cpu_t1_ms / al.time_ms, 1e-12);
+  EXPECT_NEAR(row.speedup_vs_1(al), row.cpu_t1_ms / al.time.total_ms, 1e-12);
 }
 
 TEST(Harness, BhRowRuns) {
@@ -62,8 +65,8 @@ TEST(Harness, BhMultiTimestepAccumulates) {
   BenchRow r3 = run_bench(three);
   // Time and visits accumulate across steps; per-step averages stay in the
   // per-step range.
-  EXPECT_GT(r3.result(Variant::kAutoLockstep).time_ms,
-            2.0 * r1.result(Variant::kAutoLockstep).time_ms);
+  EXPECT_GT(r3.result(Variant::kAutoLockstep).time.total_ms,
+            2.0 * r1.result(Variant::kAutoLockstep).time.total_ms);
   EXPECT_GT(r3.cpu_visits, 2 * r1.cpu_visits);
   EXPECT_LT(r3.result(Variant::kAutoLockstep).avg_nodes,
             2.0 * r1.result(Variant::kAutoLockstep).avg_nodes);
@@ -101,7 +104,7 @@ TEST(Harness, VariantFilterSkipsDisabledVariants) {
     const VariantResult& r = row.result(v);
     EXPECT_FALSE(r.ok()) << variant_name(v);
     EXPECT_EQ(r.error.rfind("skipped", 0), 0u) << r.error;
-    EXPECT_EQ(r.time_ms, 0.0);
+    EXPECT_EQ(r.time.total_ms, 0.0);
   }
 }
 
@@ -110,6 +113,30 @@ TEST(Harness, GuidedAlgosRunBothOrders) {
     BenchRow row = run_bench(small_config(a, InputKind::kUniform, false));
     EXPECT_GT(row.result(Variant::kAutoLockstep).stats.votes, 0u)
         << algo_name(a);
+  }
+}
+
+// One construction path: run_bench's typed kernel and the factory-built
+// handle bench/serving and bench/sharding submit come from the same
+// builder (register_kernels.h), so a launch of either measures the same --
+// same radius pick, same VP-tree seed, same layout.
+TEST(Harness, RunBenchAndPreparedKernelBuildTheSameKernel) {
+  for (Algo a : {Algo::kPC, Algo::kKNN, Algo::kNN, Algo::kVP}) {
+    SCOPED_TRACE(algo_name(a));
+    BenchConfig c = small_config(a, InputKind::kGeocity, false);
+    c.variants = VariantSet::from_names("auto_nolockstep");
+    const BenchRow bench = run_bench(c);
+    const VariantResult& row = bench.result(Variant::kAutoNolockstep);
+    ASSERT_TRUE(row.ok()) << row.error;
+    const std::unique_ptr<PreparedKernel> pk = prepare_kernel(c);
+    const LaunchSpec spec{pk->handle, &pk->space,
+                          GpuMode::from(Variant::kAutoNolockstep), nullptr};
+    const LaunchResult r = run_launch_pool(std::span(&spec, 1), c.device)
+                               .launches.front();
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.stats.lane_visits, row.stats.lane_visits);
+    EXPECT_EQ(r.stats.dram_transactions, row.stats.dram_transactions);
+    EXPECT_EQ(r.time.total_ms, row.time.total_ms);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,94 @@ DeviceGroupConfig group_of(std::size_t devices,
   g.policy = policy;
   g.chunk_points = 128;
   return g;
+}
+
+constexpr BatchPolicy kPolicies[] = {BatchPolicy::kRoundRobin,
+                                     BatchPolicy::kSequential,
+                                     BatchPolicy::kWorkStealing};
+
+// ---------------------------------------------------------------------
+// Assignment policy names.
+// ---------------------------------------------------------------------
+
+TEST(BatchPolicy, NamesRoundTrip) {
+  for (BatchPolicy p : kPolicies)
+    EXPECT_EQ(batch_policy_from_name(batch_policy_name(p)), p);
+  EXPECT_THROW((void)batch_policy_from_name("zigzag"), std::invalid_argument);
+}
+
+// The error lists every valid spelling, matching variant_from_name's
+// self-diagnosing behavior.
+TEST(BatchPolicy, UnknownNameErrorListsValidSpellings) {
+  try {
+    (void)batch_policy_from_name("zigzag");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("zigzag"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("round_robin, sequential, work_stealing"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Chunk -> device assignment (the sharding planner).
+// ---------------------------------------------------------------------
+
+TEST(AssignDevices, RoundRobinKeepsEveryChunkHome) {
+  const double costs[] = {5, 1, 1, 5, 1, 1};
+  DeviceAssignment a = assign_devices(costs, 2, BatchPolicy::kRoundRobin);
+  ASSERT_EQ(a.device.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a.device[i], i % 2);
+  EXPECT_EQ(a.chunks[0], 3u);
+  EXPECT_EQ(a.chunks[1], 3u);
+  EXPECT_EQ(a.steals[0], 0u);
+  EXPECT_EQ(a.steals[1], 0u);
+  EXPECT_DOUBLE_EQ(a.load[0], 7.0);
+  EXPECT_DOUBLE_EQ(a.load[1], 7.0);
+}
+
+TEST(AssignDevices, SequentialSplitsContiguousBlocks) {
+  const double costs[] = {1, 1, 1, 1, 1, 1};
+  DeviceAssignment a = assign_devices(costs, 3, BatchPolicy::kSequential);
+  const std::uint32_t want[] = {0, 0, 1, 1, 2, 2};
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a.device[i], want[i]) << i;
+}
+
+TEST(AssignDevices, WorkStealingIsGreedyEarliestFinish) {
+  // Chunk 0 (cost 10) occupies device 0; the greedy then routes chunks 1
+  // and 2 to device 1, so chunk 2 -- home device 0 -- counts as a steal.
+  const double costs[] = {10, 1, 1, 1};
+  DeviceAssignment a = assign_devices(costs, 2, BatchPolicy::kWorkStealing);
+  ASSERT_EQ(a.device.size(), 4u);
+  EXPECT_EQ(a.device[0], 0u);
+  EXPECT_EQ(a.device[1], 1u);
+  EXPECT_EQ(a.device[2], 1u);  // stolen from home device 0
+  EXPECT_EQ(a.device[3], 1u);
+  EXPECT_DOUBLE_EQ(a.load[0], 10.0);
+  EXPECT_DOUBLE_EQ(a.load[1], 3.0);
+  // Only chunk 2 landed off its home device (2 % 2 == 0), counted on the
+  // device that took it.
+  EXPECT_EQ(a.steals[0], 0u);
+  EXPECT_EQ(a.steals[1], 1u);
+}
+
+TEST(AssignDevices, TiesBreakToLowestIndexDeterministically) {
+  const double costs[] = {1, 1, 1, 1};
+  DeviceAssignment a = assign_devices(costs, 4, BatchPolicy::kWorkStealing);
+  // Equal costs: each chunk lands on the lowest-loaded (== lowest index
+  // unfilled) device, which is its home -- zero steals, one chunk each.
+  for (std::size_t d = 0; d < 4; ++d) {
+    EXPECT_EQ(a.chunks[d], 1u);
+    EXPECT_EQ(a.steals[d], 0u);
+  }
+}
+
+TEST(AssignDevices, ZeroDevicesThrows) {
+  const double costs[] = {1.0};
+  EXPECT_THROW((void)assign_devices(costs, 0, BatchPolicy::kWorkStealing),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -121,9 +210,7 @@ TEST(DeviceGroup, ByteIdenticalToSoloAllVariantsAllDeviceCounts) {
 
 TEST(DeviceGroup, PolicyOnlyShapesAccountingNotResults) {
   ShardFixture f;
-  for (BatchPolicy policy : {BatchPolicy::kRoundRobin,
-                             BatchPolicy::kSequential,
-                             BatchPolicy::kWorkStealing}) {
+  for (BatchPolicy policy : kPolicies) {
     SCOPED_TRACE(batch_policy_name(policy));
     ShardedRun r = run_sharded(f.spec(Variant::kAutoNolockstep), 4096, 1024,
                                group_of(3, policy));

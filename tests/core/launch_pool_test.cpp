@@ -1,23 +1,20 @@
 // Batched multi-kernel launches (run_launch_pool over the launch engine,
-// planned by core/batch_scheduler.h): the contract is results-neutrality
-// -- every launch's outputs and per-launch KernelStats are byte-identical
-// to its solo run_gpu_sim run under every interleaving policy -- plus
-// per-launch failure isolation and the schedule/transfer accounting the
-// batch actually changes. The RunGpuBatch suite covers the closed batch:
-// every launch known up front, one run_launch_pool call.
+// core/serving.h): the contract is results-neutrality -- every launch's
+// outputs and per-launch KernelStats are byte-identical to its solo
+// run_gpu_sim run, whatever chunk order wave_schedule accounts -- plus
+// per-launch failure isolation and launch-geometry validation. The
+// RunGpuBatch suite covers the closed batch: every launch known up front,
+// one run_launch_pool call.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
-#include "core/batch_scheduler.h"
 #include "core/gpu_executors.h"
 #include "core/serving.h"
 #include "core/traversal_kernel.h"
@@ -28,210 +25,6 @@
 
 namespace tt {
 namespace {
-
-constexpr BatchPolicy kPolicies[] = {BatchPolicy::kRoundRobin,
-                                     BatchPolicy::kSequential,
-                                     BatchPolicy::kWorkStealing};
-
-// ---------------------------------------------------------------------
-// Policy names and pure schedule accounting.
-// ---------------------------------------------------------------------
-
-TEST(BatchPolicy, NamesRoundTrip) {
-  for (BatchPolicy p : kPolicies)
-    EXPECT_EQ(batch_policy_from_name(batch_policy_name(p)), p);
-  EXPECT_THROW((void)batch_policy_from_name("zigzag"), std::invalid_argument);
-}
-
-// The error lists every valid spelling, matching variant_from_name's
-// self-diagnosing behavior.
-TEST(BatchPolicy, UnknownNameErrorListsValidSpellings) {
-  try {
-    (void)batch_policy_from_name("zigzag");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("zigzag"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("round_robin, sequential, work_stealing"),
-              std::string::npos)
-        << msg;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Chunk -> device assignment (the sharding planner).
-// ---------------------------------------------------------------------
-
-TEST(AssignDevices, RoundRobinKeepsEveryChunkHome) {
-  const double costs[] = {5, 1, 1, 5, 1, 1};
-  DeviceAssignment a = assign_devices(costs, 2, BatchPolicy::kRoundRobin);
-  ASSERT_EQ(a.device.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a.device[i], i % 2);
-  EXPECT_EQ(a.chunks[0], 3u);
-  EXPECT_EQ(a.chunks[1], 3u);
-  EXPECT_EQ(a.steals[0], 0u);
-  EXPECT_EQ(a.steals[1], 0u);
-  EXPECT_DOUBLE_EQ(a.load[0], 7.0);
-  EXPECT_DOUBLE_EQ(a.load[1], 7.0);
-}
-
-TEST(AssignDevices, SequentialSplitsContiguousBlocks) {
-  const double costs[] = {1, 1, 1, 1, 1, 1};
-  DeviceAssignment a = assign_devices(costs, 3, BatchPolicy::kSequential);
-  const std::uint32_t want[] = {0, 0, 1, 1, 2, 2};
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a.device[i], want[i]) << i;
-}
-
-TEST(AssignDevices, WorkStealingIsGreedyEarliestFinish) {
-  // Chunk 0 (cost 10) occupies device 0; the greedy then routes chunks 1
-  // and 2 to device 1, so chunk 2 -- home device 0 -- counts as a steal.
-  const double costs[] = {10, 1, 1, 1};
-  DeviceAssignment a = assign_devices(costs, 2, BatchPolicy::kWorkStealing);
-  ASSERT_EQ(a.device.size(), 4u);
-  EXPECT_EQ(a.device[0], 0u);
-  EXPECT_EQ(a.device[1], 1u);
-  EXPECT_EQ(a.device[2], 1u);  // stolen from home device 0
-  EXPECT_EQ(a.device[3], 1u);
-  EXPECT_DOUBLE_EQ(a.load[0], 10.0);
-  EXPECT_DOUBLE_EQ(a.load[1], 3.0);
-  // Only chunk 2 landed off its home device (2 % 2 == 0), counted on the
-  // device that took it.
-  EXPECT_EQ(a.steals[0], 0u);
-  EXPECT_EQ(a.steals[1], 1u);
-}
-
-TEST(AssignDevices, TiesBreakToLowestIndexDeterministically) {
-  const double costs[] = {1, 1, 1, 1};
-  DeviceAssignment a = assign_devices(costs, 4, BatchPolicy::kWorkStealing);
-  // Equal costs: each chunk lands on the lowest-loaded (== lowest index
-  // unfilled) device, which is its home -- zero steals, one chunk each.
-  for (std::size_t d = 0; d < 4; ++d) {
-    EXPECT_EQ(a.chunks[d], 1u);
-    EXPECT_EQ(a.steals[d], 0u);
-  }
-}
-
-TEST(AssignDevices, ZeroDevicesThrows) {
-  const double costs[] = {1.0};
-  EXPECT_THROW((void)assign_devices(costs, 0, BatchPolicy::kWorkStealing),
-               std::invalid_argument);
-}
-
-LaunchGeometry shape_of(std::size_t n_warps, std::size_t grid) {
-  LaunchGeometry s;
-  s.n_warps = n_warps;
-  s.grid = grid;
-  return s;
-}
-
-// The launch index of every scheduled chunk, in order, for launches of
-// (n_warps, grid) shapes -- built here chunk by chunk, independently of
-// the scheduler's wave walk, as the reference its counts must match.
-std::vector<std::size_t> interleave(
-    const std::vector<std::pair<std::size_t, std::size_t>>& shapes,
-    BatchPolicy policy) {
-  std::vector<std::size_t> order;
-  auto push_wave = [&](std::size_t l, std::size_t w) {
-    const auto [n_warps, grid] = shapes[l];
-    for (std::size_t c = w * grid; c < std::min(n_warps, (w + 1) * grid); ++c)
-      order.push_back(l);
-  };
-  auto waves = [&](std::size_t l) {
-    return (shapes[l].first + shapes[l].second - 1) / shapes[l].second;
-  };
-  if (policy == BatchPolicy::kSequential) {
-    for (std::size_t l = 0; l < shapes.size(); ++l)
-      for (std::size_t w = 0; w < waves(l); ++w) push_wave(l, w);
-    return order;
-  }
-  std::size_t max_waves = 0;
-  for (std::size_t l = 0; l < shapes.size(); ++l)
-    max_waves = std::max(max_waves, waves(l));
-  for (std::size_t w = 0; w < max_waves; ++w)
-    for (std::size_t l = 0; l < shapes.size(); ++l)
-      if (w < waves(l)) push_wave(l, w);
-  return order;
-}
-
-std::size_t switches_of(const std::vector<std::size_t>& order) {
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < order.size(); ++i)
-    if (order[i] != order[i - 1]) ++n;
-  return n;
-}
-
-TEST(BatchScheduler, RoundRobinInterleavesWaves) {
-  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
-      {4, 2},   // 2 waves of 2 chunks
-      {3, 1}};  // 3 waves of 1 chunk
-  const std::vector<std::size_t> order =
-      interleave(shapes, BatchPolicy::kRoundRobin);
-  // wave 0: L0{0,1} L1{0}; wave 1: L0{2,3} L1{1}; wave 2: L1{2}.
-  ASSERT_EQ(order, (std::vector<std::size_t>{0, 0, 1, 0, 0, 1, 1}));
-  ASSERT_EQ(switches_of(order), 3u);  // at indices 2, 3 and 5
-
-  for (BatchPolicy policy :
-       {BatchPolicy::kRoundRobin, BatchPolicy::kWorkStealing}) {
-    SCOPED_TRACE(batch_policy_name(policy));
-    BatchScheduler sched(policy);
-    for (const auto& [n_warps, grid] : shapes)
-      sched.add_launch(shape_of(n_warps, grid));
-    const BatchSchedule s = sched.schedule();
-    EXPECT_EQ(s.residency, 3u);
-    EXPECT_EQ(s.total_chunks, order.size());
-    EXPECT_EQ(s.rounds, 3u);  // max per-launch wave count
-    EXPECT_EQ(s.switches, switches_of(order));
-  }
-
-  // Wider batches, including a launch with more waves than the others
-  // and one whose grid covers it in a single wave.
-  const std::vector<std::pair<std::size_t, std::size_t>> wide{
-      {5, 2}, {1, 4}, {9, 3}, {2, 1}, {7, 7}};
-  BatchScheduler sched(BatchPolicy::kRoundRobin);
-  for (const auto& [n_warps, grid] : wide)
-    sched.add_launch(shape_of(n_warps, grid));
-  const std::vector<std::size_t> wide_order =
-      interleave(wide, BatchPolicy::kRoundRobin);
-  const BatchSchedule s = sched.schedule();
-  EXPECT_EQ(s.total_chunks, wide_order.size());
-  EXPECT_EQ(s.switches, switches_of(wide_order));
-
-  // clear() forgets the launches: a reused scheduler accounts the next
-  // batch exactly like a fresh one.
-  sched.clear();
-  for (const auto& [n_warps, grid] : shapes)
-    sched.add_launch(shape_of(n_warps, grid));
-  EXPECT_EQ(sched.n_launches(), 2u);
-  EXPECT_EQ(sched.schedule().switches, switches_of(order));
-}
-
-TEST(BatchScheduler, SequentialConcatenates) {
-  const std::vector<std::pair<std::size_t, std::size_t>> shapes{{4, 2},
-                                                                {3, 1}};
-  const std::vector<std::size_t> order =
-      interleave(shapes, BatchPolicy::kSequential);
-  ASSERT_EQ(order, (std::vector<std::size_t>{0, 0, 0, 0, 1, 1, 1}));
-
-  BatchScheduler sched(BatchPolicy::kSequential);
-  for (const auto& [n_warps, grid] : shapes)
-    sched.add_launch(shape_of(n_warps, grid));
-  const BatchSchedule s = sched.schedule();
-  EXPECT_EQ(s.residency, 3u);
-  EXPECT_EQ(s.total_chunks, order.size());
-  EXPECT_EQ(s.rounds, 5u);  // 2 + 3 residency refills
-  EXPECT_EQ(s.switches, switches_of(order));
-  EXPECT_EQ(s.switches, 1u);  // one boundary crossing
-
-  const std::vector<std::pair<std::size_t, std::size_t>> wide{
-      {5, 2}, {1, 4}, {9, 3}, {2, 1}, {7, 7}};
-  BatchScheduler wide_sched(BatchPolicy::kSequential);
-  for (const auto& [n_warps, grid] : wide)
-    wide_sched.add_launch(shape_of(n_warps, grid));
-  const std::vector<std::size_t> wide_order =
-      interleave(wide, BatchPolicy::kSequential);
-  EXPECT_EQ(wide_sched.schedule().total_chunks, wide_order.size());
-  EXPECT_EQ(wide_sched.schedule().switches, switches_of(wide_order));
-}
 
 // ---------------------------------------------------------------------
 // Solo-vs-batched byte identity.
@@ -296,9 +89,9 @@ struct BatchFixtures {
   }
 };
 
-// The interleaving policy never reaches execution: run_launch_pool takes none,
-// and the policy only shapes BatchScheduler's accounting over the pool's
-// shapes. So one pool run per variant covers every policy.
+// The chunk order never reaches execution: run_launch_pool takes none, and
+// the order only shapes wave_schedule's accounting over the pool's shapes.
+// So one pool run per variant covers every order.
 TEST(RunGpuBatch, ByteIdenticalToSoloAllVariantsAllPolicies) {
   BatchFixtures f;
   DeviceConfig cfg;
@@ -344,12 +137,13 @@ TEST(RunGpuBatch, ByteIdenticalUnderStripMinedResidency) {
       LaunchSpec{make_kernel_handle(*f.nn), &f.nn_space, mode, nullptr});
   const LaunchPool run = run_launch_pool(specs, cfg);
   ASSERT_EQ(run.launches.size(), 2u);
-  for (BatchPolicy policy : kPolicies) {
-    SCOPED_TRACE(batch_policy_name(policy));
-    BatchScheduler sched(policy);
-    for (const LaunchGeometry& shape : run.shapes) sched.add_launch(shape);
-    EXPECT_EQ(sched.schedule().residency, 6u);  // two launches, grid 3 each
-  }
+  // Two launches, grid 3 each; PC's 16 chunks need 6 rounds of 3 and NN's
+  // 15 need 5, so the last round is PC's alone.
+  const WaveSchedule ws = wave_schedule(run.shapes);
+  EXPECT_EQ(ws.residency, 6u);
+  EXPECT_EQ(ws.total_chunks, 31u);  // 16 + 15 logical warps
+  EXPECT_EQ(ws.rounds, 6u);
+  EXPECT_EQ(ws.switches, 10u);
   expect_matches_solo(run.launches[0], solo_pc);
   expect_matches_solo(run.launches[1], solo_nn);
 }

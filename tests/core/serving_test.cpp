@@ -1,9 +1,10 @@
 // The admission--dispatch layer (core/serving.h): work-conserving wave
-// formation and routing, ring-buffer drops, config validation, the shared
-// dictionary-encoded drain log, warm-replay exactness, one section-4.4
-// decision per session, arrival trace determinism, and the zero-delay
-// sanity anchor -- a query served alone must pay exactly its solo transfer
-// + modelled compute.
+// formation and routing, the one wave model (every query of a wave
+// retires with it), the wave's round-robin chunk schedule, ring-buffer
+// drops, config validation, the shared dictionary-encoded drain log,
+// warm-replay exactness, one section-4.4 decision per session, arrival
+// trace determinism, and the zero-delay sanity anchor -- a query served
+// alone must pay exactly its solo transfer + modelled compute.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_algos/harness.h"
@@ -245,6 +247,50 @@ TEST(ServingSession, EveryWaveStartsAtTheEarliestFreeDevice) {
   }
 }
 
+// The one wave model: a wave's queries retire together, each at its
+// queueing delay + the wave's one round trip + the wave's summed compute.
+// Checked query by query over a loaded two-device trace, on every wave of
+// several queries -- all of which started on a device that was busy when
+// their first query arrived.
+TEST(ServingSession, MultiQueryWaveRetiresEveryQueryWithTheWave) {
+  ServingFixtures f;
+  const QuerySet pc = f.pc_query();
+  const QuerySet nn = f.nn_query();
+  const std::vector<double> trace = poisson_trace(300, 60000.0, 3);
+  ServingConfig cfg;
+  cfg.devices = 2;
+  cfg.drain.max_batch = 4;
+  ServingSession session(cfg);
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_TRUE(session.submit(i % 3 ? pc : nn, trace[i]));
+  session.flush();
+  const ServingReport r = session.report();
+  const std::vector<double>& lat = session.latencies_ms();
+  const std::vector<double>& qd = session.queue_delays_ms();
+  ASSERT_EQ(lat.size(), trace.size());
+  std::size_t first = 0;  // FIFO: drain k serves the next n_queries queries
+  std::vector<std::size_t> multi_on(cfg.devices, 0);
+  for (std::size_t k = 0; k < r.drains.size(); ++k) {
+    const DrainRecord& d = r.drains[k];
+    if (d.n_queries > 1) {
+      SCOPED_TRACE("drain " + std::to_string(k));
+      ++multi_on[d.device];
+      EXPECT_GT(d.dispatch_ms, trace[first]);  // waited for a busy device
+      EXPECT_GT(d.compute_ms, 0.0);
+      for (std::size_t q = first; q < first + d.n_queries; ++q) {
+        const double queued = d.dispatch_ms - trace[q];
+        EXPECT_EQ(qd[q], queued) << "query " << q;
+        EXPECT_EQ(lat[q], queued + d.transfer_ms + d.compute_ms)
+            << "query " << q;
+      }
+    }
+    first += d.n_queries;
+  }
+  EXPECT_EQ(first, trace.size());
+  for (std::size_t dev = 0; dev < cfg.devices; ++dev)
+    EXPECT_GT(multi_on[dev], 0u) << "device " << dev;
+}
+
 // Past saturation the backlog is what batches: at twice the rate an
 // unbatched device group can serve, waves fill to max_batch and the
 // saved launch overheads buy throughput over a max_batch = 1 session.
@@ -321,6 +367,91 @@ TEST(ServingSession, ReportKeepsItsDrainsAfterSubmitsAndSessionEnd) {
   EXPECT_EQ(mid.drains.front().dispatch_ms, 0.0);
   EXPECT_EQ(mid.drains.back().dispatch_ms, 10.0);
   EXPECT_EQ(all.drains.back().dispatch_ms, 50.0);
+}
+
+// ---------------------------------------------------------------------
+// A wave's chunk schedule: its launches' strip-mined rounds interleave
+// round-robin.
+// ---------------------------------------------------------------------
+
+// The launch index of every chunk of launches with (n_warps, grid)
+// shapes, built chunk by chunk: round r issues chunks [r * grid,
+// (r + 1) * grid) of every launch that has them, in launch order -- the
+// reference wave_schedule's counts must match.
+std::vector<std::size_t> interleave(
+    const std::vector<std::pair<std::size_t, std::size_t>>& shapes) {
+  std::vector<std::size_t> order;
+  for (std::size_t r = 0;; ++r) {
+    const std::size_t before = order.size();
+    for (std::size_t l = 0; l < shapes.size(); ++l) {
+      const auto [n_warps, grid] = shapes[l];
+      for (std::size_t c = r * grid; c < std::min(n_warps, (r + 1) * grid);
+           ++c)
+        order.push_back(l);
+    }
+    if (order.size() == before) return order;
+  }
+}
+
+std::size_t switches_of(const std::vector<std::size_t>& order) {
+  std::size_t n = 0;
+  for (std::size_t i = 1; i < order.size(); ++i)
+    if (order[i] != order[i - 1]) ++n;
+  return n;
+}
+
+WaveSchedule schedule_of(
+    const std::vector<std::pair<std::size_t, std::size_t>>& shapes) {
+  std::vector<LaunchGeometry> geometry;
+  for (const auto& [n_warps, grid] : shapes) {
+    LaunchGeometry g;
+    g.n_warps = n_warps;
+    g.grid = grid;
+    geometry.push_back(g);
+  }
+  return wave_schedule(geometry);
+}
+
+TEST(WaveSchedule, RoundRobinInterleavesWaves) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {4, 2},   // 2 rounds of 2 chunks
+      {3, 1}};  // 3 rounds of 1 chunk
+  const std::vector<std::size_t> order = interleave(shapes);
+  // round 0: L0{0,1} L1{0}; round 1: L0{2,3} L1{1}; round 2: L1{2}.
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 0, 1, 0, 0, 1, 1}));
+  const WaveSchedule s = schedule_of(shapes);
+  EXPECT_EQ(s.residency, 3u);
+  EXPECT_EQ(s.total_chunks, order.size());
+  EXPECT_EQ(s.rounds, 3u);  // the most rounds of any launch
+  EXPECT_EQ(s.switches, 3u);  // at indices 2, 3 and 5
+
+  // Wider waves of unequal grids, including launches that drop out early,
+  // one whose grid covers it in a single round, and a failed launch (zero
+  // shape, no chunks).
+  for (const std::vector<std::pair<std::size_t, std::size_t>>& wide :
+       {std::vector<std::pair<std::size_t, std::size_t>>{
+            {5, 2}, {1, 4}, {9, 3}, {2, 1}, {7, 7}},
+        std::vector<std::pair<std::size_t, std::size_t>>{
+            {16, 3}, {0, 0}, {15, 3}, {40, 16}},
+        std::vector<std::pair<std::size_t, std::size_t>>{
+            {3, 1}, {3, 1}, {1, 1}}}) {
+    const std::vector<std::size_t> wide_order = interleave(wide);
+    const WaveSchedule ws = schedule_of(wide);
+    std::size_t residency = 0;
+    std::size_t rounds = 0;
+    for (const auto& [n_warps, grid] : wide) {
+      residency += grid;
+      if (grid > 0) rounds = std::max(rounds, (n_warps + grid - 1) / grid);
+    }
+    EXPECT_EQ(ws.residency, residency);
+    EXPECT_EQ(ws.total_chunks, wide_order.size());
+    EXPECT_EQ(ws.rounds, rounds);
+    EXPECT_EQ(ws.switches, switches_of(wide_order));
+  }
+
+  const WaveSchedule none = wave_schedule({});
+  EXPECT_EQ(none.residency + none.total_chunks + none.rounds + none.switches,
+            0u);
 }
 
 // The log keeps a 16-byte entry per wave and interns the rest of the

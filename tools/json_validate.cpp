@@ -524,8 +524,7 @@ int check_latency_summary(const std::string& at, const JsonValue& s) {
 int check_serving(const JsonValue& serving) {
   if (!serving.is_object()) return fail("\"serving\" is not an object");
   for (const char* field :
-       {"arrivals", "rate_qps", "queries", "devices", "shard_chunk",
-        "variant", "policy",
+       {"arrivals", "rate_qps", "queries", "devices", "variant",
         "drain_policy", "queue_capacity", "submitted", "completed",
         "dropped", "failed", "span_ms", "throughput_qps", "occupancy",
         "latency_ms", "queue_delay_ms", "queue", "transfer", "drains"})
