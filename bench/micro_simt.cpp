@@ -184,37 +184,71 @@ void BM_CpuTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuTraversal)->Arg(0)->Arg(1);
 
-// ServingSession::submit on the common serving path: two devices, one
-// decided (kernel, mode) pair and arrivals spaced far wider than its
-// service time, so every submit fires the previous query's wave -- one
-// replayed query on an idle device -- and logs its drain. Time per
-// iteration is host ns per query served. The iteration count is fixed
-// because the session keeps per-query telemetry for its whole life.
-void BM_ServingReplayedWave(benchmark::State& state) {
-  static PointSet pts = gen_covtype_like(512, 7, 8);
-  static KdTree tree = build_kdtree(pts, 8);
-  GpuAddressSpace space;
-  PointCorrelationKernel k(tree, pts, pc_pick_radius(pts, 16, 8), space);
-  QuerySet q;
-  q.spec.kernel = make_kernel_handle(k);
-  q.spec.space = &space;
-  q.spec.mode = GpuMode::from(Variant::kAutoNolockstep);
-  q.upload_bytes = 4096;
-  q.download_bytes = 1024;
-  ServingConfig cfg;
-  cfg.devices = 2;
-  ServingSession session(cfg);
-  // The pair's cold query executes (and decides it) when the second
-  // arrival fires it, outside the timed loop.
-  double arrival_ms = 0;
-  for (int i = 0; i < 2; ++i, arrival_ms += 1.0) session.submit(q, arrival_ms);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(session.submit(q, arrival_ms));
-    arrival_ms += 1.0;
+// The common serving path: two devices, one decided (kernel, mode) pair
+// and arrivals 1 ms apart, far wider than its service time, so every
+// submit fires the previous query's wave -- one replayed query on an idle
+// device -- and logs its drain. The pair's cold query executes (and
+// decides it) when the second arrival fires it.
+struct LightLoadSession {
+  static const PointSet& points() {
+    static const PointSet pts = gen_covtype_like(512, 7, 8);
+    return pts;
   }
+  static const KdTree& tree() {
+    static const KdTree t = build_kdtree(points(), 8);
+    return t;
+  }
+  static ServingConfig config() {
+    ServingConfig cfg;
+    cfg.devices = 2;
+    return cfg;
+  }
+
+  GpuAddressSpace space;
+  PointCorrelationKernel kernel{tree(), points(),
+                                pc_pick_radius(points(), 16, 8), space};
+  QuerySet q;
+  ServingSession session{config()};
+  double arrival_ms = 0;
+
+  LightLoadSession() {
+    q.spec.kernel = make_kernel_handle(kernel);
+    q.spec.space = &space;
+    q.spec.mode = GpuMode::from(Variant::kAutoNolockstep);
+    q.upload_bytes = 4096;
+    q.download_bytes = 1024;
+    for (int i = 0; i < 2; ++i) submit();
+  }
+  bool submit() {
+    const bool admitted = session.submit(q, arrival_ms);
+    arrival_ms += 1.0;
+    return admitted;
+  }
+};
+
+// ServingSession::submit at light load. Time per iteration is host ns per
+// query served. The iteration count is fixed because the session keeps
+// per-query telemetry for its whole life.
+void BM_ServingReplayedWave(benchmark::State& state) {
+  LightLoadSession s;
+  for (auto _ : state) benchmark::DoNotOptimize(s.submit());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServingReplayedWave)->Iterations(1 << 18);
+
+// ServingSession::report over a light-load session of 2^20 queries served
+// (set up outside the timed loop): the latency and queue-delay summaries
+// and the drain-log view. Time per iteration is one report.
+void BM_ServingReport(benchmark::State& state) {
+  LightLoadSession s;
+  while (s.session.latencies_ms().size() < (std::size_t{1} << 20)) s.submit();
+  for (auto _ : state) {
+    const ServingReport r = s.session.report();
+    benchmark::DoNotOptimize(r.latency.p99);
+    benchmark::DoNotOptimize(r.queue_delay.p99);
+  }
+}
+BENCHMARK(BM_ServingReport)->Iterations(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tt

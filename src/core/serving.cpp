@@ -1,6 +1,7 @@
 #include "core/serving.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -183,18 +184,22 @@ WaveSchedule wave_schedule(std::span<const LaunchGeometry> shapes) {
 // The drain log.
 // ---------------------------------------------------------------------
 
-void DrainLog::append(const DrainRecord& rec) {
+std::uint32_t DrainLog::append(const DrainRecord& rec) {
   const Body b{.transfer_ms = rec.transfer_ms,
                .solo_transfer_ms = rec.solo_transfer_ms,
                .compute_ms = rec.compute_ms,
                .device = rec.device,
                .n_queries = rec.n_queries,
+               .queue_depth_before = rec.queue_depth_before,
                .cold_launches = rec.cold_launches,
                .residency = rec.residency,
                .total_chunks = rec.total_chunks,
                .rounds = rec.rounds,
                .switches = rec.switches};
-  entries_.push_back(Entry{rec.dispatch_ms, rec.queue_depth_before, intern(b)});
+  const std::uint32_t id = intern(b);
+  dispatch_ms_.push_back(rec.dispatch_ms);
+  body_.push_back(id);
+  return id;
 }
 
 std::size_t DrainLog::hash(const Body& b) {
@@ -234,27 +239,8 @@ void DrainLog::rehash(std::size_t n_slots) {
 // ---------------------------------------------------------------------
 
 LatencySummary summarize_latency(std::vector<double> xs) {
-  LatencySummary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
   std::sort(xs.begin(), xs.end());
-  double sum = 0;
-  for (double x : xs) sum += x;
-  s.mean = sum / static_cast<double>(xs.size());
-  // Same linear interpolation as util/stats percentile(), over one sort.
-  auto interp = [&](double p) {
-    const double rank =
-        p / 100.0 * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    if (lo + 1 >= xs.size()) return xs.back();
-    const double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-  };
-  s.p50 = interp(50);
-  s.p95 = interp(95);
-  s.p99 = interp(99);
-  s.max = xs.back();
-  return s;
+  return summarize_sorted({}, xs);
 }
 
 double ServingReport::amortized_transfer_ms() const {
@@ -295,6 +281,9 @@ bool ServingSession::submit(QuerySet q, double arrival_ms) {
   if (any_arrival_ && arrival_ms < last_arrival_ms_)
     throw std::invalid_argument(
         "ServingSession::submit: arrival times must be non-decreasing");
+  if (submitted_ == UINT32_MAX)
+    throw std::length_error(
+        "ServingSession::submit: a session takes at most 2^32 - 1 queries");
   if (!any_arrival_) {
     first_arrival_ms_ = arrival_ms;
     any_arrival_ = true;
@@ -439,6 +428,9 @@ void ServingSession::fire(double start_ms) {
   rec.transfer_ms = cfg_.transfer.round_trip_ms(up, down, 1);
   for (const Measured& m : admits_) rec.compute_ms += m.total_ms;
 
+  const std::uint32_t body = drains_->append(rec);
+  if (body == unwaited_.size()) unwaited_.push_back(0);
+
   // The wave's chunks interleave, so every query retires with the wave,
   // at dispatch + the wave's transfer + its summed compute. A latency is
   // summed as (queueing + transfer + compute) rather than
@@ -448,19 +440,29 @@ void ServingSession::fire(double start_ms) {
   last_completion_ms_ =
       std::max(last_completion_ms_,
                rec.dispatch_ms + rec.transfer_ms + rec.compute_ms);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const std::uint64_t service_bits = bits(rec.service_ms());
   for (std::size_t i = 0; i < n; ++i) {
     const double queued = rec.dispatch_ms - wave_[i].arrival_ms;
-    latencies_.push_back(queued + rec.transfer_ms + rec.compute_ms);
-    queue_delays_.push_back(queued);
+    const double latency = queued + rec.transfer_ms + rec.compute_ms;
+    // Only a query whose delay and latency the body gives back exactly
+    // (+0.0 and service_ms) is a count; any other keeps its own record.
+    if (bits(queued) == 0 && bits(latency) == service_bits) {
+      ++unwaited_[body];
+    } else {
+      // Fits: submit() admits fewer than 2^32 queries per session.
+      waited_.push_back(static_cast<std::uint32_t>(latencies_.size()));
+      waited_delay_ms_.push_back(queued);
+    }
+    latencies_.push_back(latency);
     if (!admits_[i].ok) ++failed_;
   }
   wave_.clear();
   device_free_ms_[device] = rec.dispatch_ms + rec.service_ms();
   busy_ms_ += rec.service_ms();
-  drains_->append(rec);
 }
 
-ServingReport ServingSession::report() const {
+ServingReport ServingSession::report() {
   ServingReport r;
   r.devices = cfg_.devices;
   r.submitted = submitted_;
@@ -472,8 +474,21 @@ ServingReport ServingSession::report() const {
   r.busy_ms = busy_ms_;
   r.queue_depth_max = queue_depth_max_;
   r.queue_depth = queue_depth_stats_.summary();
-  r.latency = summarize_latency(latencies_);
-  r.queue_delay = summarize_latency(queue_delays_);
+  // Each summary merges the unwaited queries, as runs, with the sorted
+  // values of the queries that waited: an unwaited query's latency is its
+  // body's service_ms and its delay is +0.0.
+  std::vector<LatencyRun> runs;  // one per body, not per query
+  for (std::uint32_t b = 0; b < unwaited_.size(); ++b)
+    if (unwaited_[b] > 0)
+      runs.push_back({drains_->service_ms(b), unwaited_[b]});
+  std::ranges::sort(runs, {}, &LatencyRun::value);
+  const auto latency_of = [this](std::uint32_t q) { return latencies_[q]; };
+  std::ranges::sort(waited_, {}, latency_of);
+  r.latency =
+      summarize_sorted(runs, waited_ | std::views::transform(latency_of));
+  std::ranges::sort(waited_delay_ms_);
+  const LatencyRun zero{0.0, latencies_.size() - waited_.size()};
+  r.queue_delay = summarize_sorted(std::span(&zero, 1), waited_delay_ms_);
   r.drains = DrainLogView(drains_);
   return r;
 }

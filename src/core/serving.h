@@ -34,9 +34,10 @@
 //     exact, because batching is results-neutral by construction --
 //     which is what makes million-query traces affordable; when it must
 //     execute instead it runs the decided mode and never samples again,
-//     so its latency is the same. Each wave
-//     appends one 16-byte entry to the session's dictionary-encoded drain
-//     log (DrainLog), so a million waves of one cost about 16 MB of log.
+//     so its latency is the same. Each wave appends one 12-byte entry to
+//     the session's dictionary-encoded drain log (DrainLog), and each
+//     query keeps its 8-byte latency, plus 12 bytes only if it waited, so
+//     a million lightly loaded queries cost about 20 MB of telemetry.
 //
 // All times on this layer are *modelled* milliseconds (cost model +
 // TransferModel), so every serving number is deterministic for a given
@@ -49,6 +50,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <string>
 #include <utility>
@@ -166,7 +168,60 @@ struct LatencySummary {
   double max = 0;
 };
 
-// percentile() over one sorted pass; linear interpolation (util/stats.h).
+// `count` queries that share one value.
+struct LatencyRun {
+  double value = 0;
+  std::size_t count = 0;
+};
+
+// The summary of the union of `runs` (ascending by value; values may
+// repeat across runs) and `singles` (ascending values, one query each),
+// merged without copying either. It is what one sorted pass over the
+// values listed one by one computes, bit for bit: the mean sums them
+// smallest first, adding each value once per query (never value *
+// count), and p50/p95/p99/max are the order statistics at their ranks
+// (util/stats.h percentile_rank).
+template <std::ranges::forward_range Singles>
+  requires std::ranges::sized_range<Singles>
+[[nodiscard]] LatencySummary summarize_sorted(std::span<const LatencyRun> runs,
+                                              Singles&& singles) {
+  LatencySummary out;
+  out.count = std::ranges::size(singles);
+  for (const LatencyRun& r : runs) out.count += r.count;
+  if (out.count == 0) return out;
+  const PercentileRank rank[3] = {percentile_rank(out.count, 50),
+                                  percentile_rank(out.count, 95),
+                                  percentile_rank(out.count, 99)};
+  double lo[3] = {};
+  double hi[3] = {};
+  double sum = 0;
+  std::size_t seen = 0;
+  auto add = [&](double value, std::size_t count) {
+    if (count == 0) return;
+    for (std::size_t k = 0; k < count; ++k) sum += value;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (rank[i].lo >= seen && rank[i].lo < seen + count) lo[i] = value;
+      if (rank[i].hi >= seen && rank[i].hi < seen + count) hi[i] = value;
+    }
+    seen += count;
+    out.max = value;
+  };
+  auto s = std::ranges::begin(singles);
+  const auto end = std::ranges::end(singles);
+  for (const LatencyRun& r : runs) {
+    for (; s != end && *s < r.value; ++s) add(*s, 1);
+    add(r.value, r.count);
+  }
+  for (; s != end; ++s) add(*s, 1);
+  out.mean = sum / static_cast<double>(out.count);
+  out.p50 = rank[0].between(lo[0], hi[0]);
+  out.p95 = rank[1].between(lo[1], hi[1]);
+  out.p99 = rank[2].between(lo[2], hi[2]);
+  return out;
+}
+
+// Sorts `xs` and summarizes it as singles: percentile() over one sorted
+// pass (util/stats.h).
 [[nodiscard]] LatencySummary summarize_latency(std::vector<double> xs);
 
 // One drained wave's accounting: the record every reader of a drain log
@@ -191,32 +246,37 @@ struct DrainRecord {
 };
 
 // A session's append-only drain log, dictionary-encoded. Each wave keeps a
-// 16-byte entry -- dispatch_ms, queue_depth_before and the id of its
-// *body* -- and the body, every other DrainRecord field, is stored once per
-// distinct bit pattern. Waves of one (kernel, mode) pair on one device
-// differ almost only in dispatch_ms, and a lightly loaded session drains
-// nearly once per query, so the log costs about 16 bytes per wave; a trace
-// whose bodies never repeat costs 80-88 (entry, body, index). Interning
-// compares exact bits: bodies that differ in one bit of one double, or in
-// the sign of a zero, stay distinct, so operator[] rebuilds what append()
-// was given bit for bit. Entries and bodies are never moved or rewritten
-// once appended.
+// 12-byte entry -- its dispatch_ms and the 32-bit id of its *body*, in two
+// parallel arrays -- and the body, every other DrainRecord field, is
+// stored once per distinct bit pattern. Waves of one (kernel, mode) pair
+// on one device differ almost only in dispatch_ms, and a lightly loaded
+// session drains nearly once per query at queue depth 1, so the log costs
+// about 12 bytes per wave; a trace whose bodies never repeat costs 76-84
+// (entry, body, index). Interning compares exact bits: bodies that differ
+// in one bit of one double, or in the sign of a zero, stay distinct, so
+// operator[] rebuilds what append() was given bit for bit. Entries and
+// bodies are never moved or rewritten once appended.
 class DrainLog {
  public:
-  void append(const DrainRecord& rec);
+  // Appends `rec` and returns the id of its body. Ids are dense, in order
+  // of first appearance: a new body's id is the bodies() before it.
+  std::uint32_t append(const DrainRecord& rec);
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return dispatch_ms_.size(); }
   [[nodiscard]] std::size_t bodies() const { return bodies_.size(); }
+  // The service_ms() of every record built from body `id`.
+  [[nodiscard]] double service_ms(std::uint32_t id) const {
+    return bodies_[id].transfer_ms + bodies_[id].compute_ms;
+  }
   [[nodiscard]] DrainRecord operator[](std::size_t i) const {
-    const Entry& e = entries_[i];
-    const Body& b = bodies_[e.body];
-    return {.dispatch_ms = e.dispatch_ms,
+    const Body& b = bodies_[body_[i]];
+    return {.dispatch_ms = dispatch_ms_[i],
             .transfer_ms = b.transfer_ms,
             .solo_transfer_ms = b.solo_transfer_ms,
             .compute_ms = b.compute_ms,
             .device = b.device,
             .n_queries = b.n_queries,
-            .queue_depth_before = e.queue_depth_before,
+            .queue_depth_before = b.queue_depth_before,
             .cold_launches = b.cold_launches,
             .residency = b.residency,
             .total_chunks = b.total_chunks,
@@ -225,26 +285,20 @@ class DrainLog {
   }
 
  private:
-  struct Entry {
-    double dispatch_ms;
-    std::uint32_t queue_depth_before;
-    std::uint32_t body;  // index into bodies_
-  };
-  static_assert(sizeof(Entry) == 16, "the log keeps one Entry per wave");
-  // No padding bytes (the tail is an explicit zero), so a body's object
-  // representation is its bit pattern: interning hashes and compares it.
+  // No padding bytes, so a body's object representation is its bit
+  // pattern: interning hashes and compares it.
   struct Body {
     double transfer_ms;
     double solo_transfer_ms;
     double compute_ms;
     std::uint32_t device;
     std::uint32_t n_queries;
+    std::uint32_t queue_depth_before;
     std::uint32_t cold_launches;
     std::uint32_t residency;
     std::uint32_t total_chunks;
     std::uint32_t rounds;
     std::uint32_t switches;
-    std::uint32_t zero = 0;
   };
   static_assert(sizeof(Body) == 3 * sizeof(double) + 8 * sizeof(std::uint32_t),
                 "Body has no padding bytes");
@@ -254,7 +308,10 @@ class DrainLog {
   std::uint32_t intern(const Body& b);
   void rehash(std::size_t n_slots);
 
-  std::deque<Entry> entries_;
+  // The entries: wave i dispatched at dispatch_ms_[i] and is built from
+  // bodies_[body_[i]].
+  std::deque<double> dispatch_ms_;
+  std::deque<std::uint32_t> body_;
   std::deque<Body> bodies_;
   // Open-addressing index over body ids (kFree marks an empty slot),
   // power-of-two sized and at most half full. It hashes the body an id
@@ -377,7 +434,8 @@ class ServingSession {
   // Enqueue one query set at `arrival_ms` (modelled). Returns false when
   // the ring buffer is full and the query was dropped. Throws
   // std::invalid_argument on a missing kernel/space or on an arrival
-  // stamp earlier than the previous submit.
+  // stamp earlier than the previous submit, and std::length_error on the
+  // 2^32-th submit (a query's telemetry is indexed in 32 bits).
   bool submit(QuerySet q, double arrival_ms);
 
   // Drain everything still pending: each residual wave starts as soon as
@@ -387,16 +445,16 @@ class ServingSession {
   [[nodiscard]] std::size_t pending() const { return count_; }
 
   // Aggregate telemetry + percentiles over everything served so far; its
-  // drains are a view of the session's log, not a copy.
-  [[nodiscard]] ServingReport report() const;
+  // drains are a view of the session's log, not a copy. The percentiles
+  // are exact and copy no per-query series: report() sorts the waited
+  // queries' records in place (no reader depends on their order), which
+  // is why it is not const.
+  [[nodiscard]] ServingReport report();
 
-  // Per-query modelled times, in completion order (tests; also the raw
-  // series behind report()'s percentiles).
+  // Per-query modelled latencies, in completion order (the series behind
+  // report()'s latency percentiles).
   [[nodiscard]] const std::vector<double>& latencies_ms() const {
     return latencies_;
-  }
-  [[nodiscard]] const std::vector<double>& queue_delays_ms() const {
-    return queue_delays_;
   }
 
  private:
@@ -459,8 +517,9 @@ class ServingSession {
   std::vector<std::size_t> cold_to_admit_;
   std::vector<LaunchGeometry> shapes_;  // per wave query, for wave_schedule
 
-  // Telemetry accumulators: scalars, two doubles per query served and one
-  // 16-byte log entry per drain, so million-query traces stay small.
+  // Telemetry accumulators: scalars, one double per query served and 12
+  // bytes more per query that waited, one 12-byte log entry per drain and
+  // one count per drain body, so million-query traces stay small.
   std::size_t submitted_ = 0;
   std::size_t dropped_ = 0;
   std::size_t failed_ = 0;
@@ -470,7 +529,16 @@ class ServingSession {
   std::size_t queue_depth_max_ = 0;
   RunningStats queue_depth_stats_;
   std::vector<double> latencies_;
-  std::vector<double> queue_delays_;
+  // A query that did not wait (queueing delay +0.0) has latency
+  // (0.0 + transfer_ms) + compute_ms, its wave's service_ms() bit for bit,
+  // so it only adds to its drain body's count (indexed by body id): its
+  // delay and its latency are both the body's.
+  std::vector<std::size_t> unwaited_;
+  // Every other query: its index into latencies_ and its queue delay.
+  // report() sorts the indices by latency and the delays by value, each
+  // array on its own, so nothing may rely on their order or pairing.
+  std::vector<std::uint32_t> waited_;
+  std::vector<double> waited_delay_ms_;
   // Append-only, shared with every report taken from it.
   std::shared_ptr<DrainLog> drains_ = std::make_shared<DrainLog>();
 };

@@ -39,15 +39,25 @@ Summary summarize(std::span<const double> xs) {
   return rs.summary();
 }
 
+PercentileRank percentile_rank(std::size_t n, double p) {
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  PercentileRank r;
+  r.lo = static_cast<std::size_t>(rank);
+  if (r.lo + 1 >= n) {
+    r.lo = r.hi = n - 1;
+    return r;
+  }
+  r.hi = r.lo + 1;
+  r.frac = rank - static_cast<double>(r.lo);
+  return r;
+}
+
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile of empty sample");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile range");
   std::sort(xs.begin(), xs.end());
-  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  if (lo + 1 >= xs.size()) return xs.back();
-  double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
+  const PercentileRank r = percentile_rank(xs.size(), p);
+  return r.between(xs[r.lo], xs[r.hi]);
 }
 
 }  // namespace tt

@@ -3,8 +3,9 @@
 // retires with it), the wave's round-robin chunk schedule, ring-buffer
 // drops, config validation, the shared dictionary-encoded drain log,
 // warm-replay exactness, one section-4.4 decision per session, arrival
-// trace determinism, and the zero-delay sanity anchor -- a query served
-// alone must pay exactly its solo transfer + modelled compute.
+// trace determinism, the exact percentile summaries report() builds
+// without copying a series, and the zero-delay sanity anchor -- a query
+// served alone must pay exactly its solo transfer + modelled compute.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,9 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -84,6 +87,77 @@ ServingConfig relaxed_config() {
   return cfg;
 }
 
+// The reference summary, spelled out independently of the library: sort
+// the values one by one, sum them smallest first, and interpolate
+// linearly between the order statistics around rank p / 100 * (n - 1).
+LatencySummary reference_summary(std::vector<double> xs) {
+  LatencySummary s;
+  s.count = xs.size();
+  if (xs.empty()) return s;
+  std::sort(xs.begin(), xs.end());
+  double sum = 0;
+  for (double x : xs) sum += x;
+  s.mean = sum / static_cast<double>(xs.size());
+  auto at = [&](double p) {
+    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    if (lo + 1 >= xs.size()) return xs.back();
+    const double frac = rank - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
+  };
+  s.p50 = at(50);
+  s.p95 = at(95);
+  s.p99 = at(99);
+  s.max = xs.back();
+  return s;
+}
+
+// Every field of two summaries compared by its bits.
+testing::AssertionResult same_summary(const LatencySummary& a,
+                                      const LatencySummary& b) {
+  auto differs = [](const auto& x, const auto& y) {
+    return std::memcmp(&x, &y, sizeof x) != 0;
+  };
+  testing::AssertionResult bad = testing::AssertionFailure();
+  bool ok = true;
+  auto field = [&](const char* name, const auto& x, const auto& y) {
+    if (!differs(x, y)) return;
+    ok = false;
+    bad << name << " " << x << " vs " << y << "; ";
+  };
+  field("count", a.count, b.count);
+  field("mean", a.mean, b.mean);
+  field("p50", a.p50, b.p50);
+  field("p95", a.p95, b.p95);
+  field("p99", a.p99, b.p99);
+  field("max", a.max, b.max);
+  return ok ? testing::AssertionSuccess() : bad;
+}
+
+// The queue delays the drain log implies: waves serve the admitted
+// queries in FIFO order, so drain k's queries are the next n_queries
+// arrivals, each delayed dispatch_ms - arrival.
+std::vector<double> delays_from_drains(const ServingReport& r,
+                                       const std::vector<double>& arrivals) {
+  std::vector<double> delays;
+  for (const DrainRecord& d : r.drains)
+    for (std::uint32_t k = 0; k < d.n_queries; ++k)
+      delays.push_back(d.dispatch_ms - arrivals.at(delays.size()));
+  return delays;
+}
+
+// report()'s summaries are the reference's, bit for bit, over the
+// session's latencies and the delays its log implies.
+void expect_exact_summaries(ServingSession& session,
+                            const std::vector<double>& arrivals) {
+  const ServingReport r = session.report();
+  EXPECT_TRUE(
+      same_summary(r.latency, reference_summary(session.latencies_ms())));
+  const std::vector<double> delays = delays_from_drains(r, arrivals);
+  EXPECT_EQ(delays.size(), r.completed);
+  EXPECT_TRUE(same_summary(r.queue_delay, reference_summary(delays)));
+}
+
 // ---------------------------------------------------------------------
 // The sanity anchor: a query served alone, with no batching delay and an
 // idle device, completes at exactly its solo transfer + modelled compute.
@@ -98,7 +172,8 @@ TEST(ServingSession, ZeroDelayMatchesSoloTransferPlusCompute) {
   ServingSession session(cfg);
   // Arrivals spaced far wider than any service time: every wave finds the
   // device idle, so queueing contributes nothing.
-  for (double arrival : {0.0, 100.0, 200.0})
+  const std::vector<double> arrivals = {0.0, 100.0, 200.0};
+  for (double arrival : arrivals)
     ASSERT_TRUE(session.submit(f.pc_query(), arrival));
   session.flush();
 
@@ -106,9 +181,10 @@ TEST(ServingSession, ZeroDelayMatchesSoloTransferPlusCompute) {
       cfg.transfer.round_trip_ms(4096, 1024, 1) + solo.time.total_ms;
   ASSERT_EQ(session.latencies_ms().size(), 3u);
   for (double lat : session.latencies_ms()) EXPECT_EQ(lat, expect);
-  for (double qd : session.queue_delays_ms()) EXPECT_EQ(qd, 0.0);
 
   const ServingReport r = session.report();
+  for (double qd : delays_from_drains(r, arrivals)) EXPECT_EQ(qd, 0.0);
+  expect_exact_summaries(session, arrivals);
   EXPECT_EQ(r.submitted, 3u);
   EXPECT_EQ(r.completed, 3u);
   EXPECT_EQ(r.dropped, 0u);
@@ -132,7 +208,8 @@ TEST(ServingSession, IdleDeviceDispatchesAtArrival) {
   {
     SCOPED_TRACE("one device, spaced arrivals");
     ServingSession session(ServingConfig{});  // max_batch 8: no waiting
-    for (double arrival : {0.0, 10.0, 20.0})
+    const std::vector<double> arrivals = {0.0, 10.0, 20.0};
+    for (double arrival : arrivals)
       ASSERT_TRUE(session.submit(f.pc_query(), arrival));
     session.flush();
     const ServingReport r = session.report();
@@ -140,15 +217,18 @@ TEST(ServingSession, IdleDeviceDispatchesAtArrival) {
     EXPECT_EQ(r.drains[0].dispatch_ms, 0.0);
     EXPECT_EQ(r.drains[1].dispatch_ms, 10.0);
     EXPECT_EQ(r.drains[2].dispatch_ms, 20.0);
-    for (double qd : session.queue_delays_ms()) EXPECT_EQ(qd, 0.0);
+    for (double qd : delays_from_drains(r, arrivals)) EXPECT_EQ(qd, 0.0);
+    EXPECT_EQ(r.queue_delay.max, 0.0);
+    expect_exact_summaries(session, arrivals);
   }
   {
     SCOPED_TRACE("two devices, device 0 busy");
     ServingConfig cfg;
     cfg.devices = 2;
     ServingSession session(cfg);
-    ASSERT_TRUE(session.submit(f.pc_query(), 0.0));
-    ASSERT_TRUE(session.submit(f.pc_query(), 1e-6));  // fires the first
+    const std::vector<double> arrivals = {0.0, 1e-6};
+    ASSERT_TRUE(session.submit(f.pc_query(), arrivals[0]));
+    ASSERT_TRUE(session.submit(f.pc_query(), arrivals[1]));  // fires the first
     session.flush();
     const ServingReport r = session.report();
     ASSERT_EQ(r.drains.size(), 2u);
@@ -158,7 +238,9 @@ TEST(ServingSession, IdleDeviceDispatchesAtArrival) {
     EXPECT_EQ(r.drains[1].device, 1u);
     EXPECT_EQ(r.drains[1].dispatch_ms, 1e-6);
     EXPECT_EQ(r.drains[1].n_queries, 1u);
-    for (double qd : session.queue_delays_ms()) EXPECT_EQ(qd, 0.0);
+    for (double qd : delays_from_drains(r, arrivals)) EXPECT_EQ(qd, 0.0);
+    EXPECT_EQ(r.queue_delay.max, 0.0);
+    expect_exact_summaries(session, arrivals);
   }
 }
 
@@ -170,8 +252,11 @@ TEST(ServingSession, BusyDeviceReleasesTheBacklogInCappedWaves) {
   // q0 starts on the idle device at t = 0; q1..q5 arrive while it is
   // busy, so they wait and leave together when it frees up -- three in
   // the first wave (the cap), the other two in the next.
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(session.submit(f.pc_query(), 1e-6 * i));
+  std::vector<double> arrivals;
+  for (int i = 0; i < 6; ++i) {
+    arrivals.push_back(1e-6 * i);
+    ASSERT_TRUE(session.submit(f.pc_query(), arrivals.back()));
+  }
   EXPECT_EQ(session.pending(), 5u);
   session.flush();
   const ServingReport r = session.report();
@@ -187,8 +272,13 @@ TEST(ServingSession, BusyDeviceReleasesTheBacklogInCappedWaves) {
   EXPECT_EQ(r.drains[2].queue_depth_before, 2u);
   EXPECT_EQ(r.drains[2].dispatch_ms,
             r.drains[1].dispatch_ms + r.drains[1].service_ms());
-  ASSERT_EQ(session.queue_delays_ms().size(), 6u);
-  EXPECT_EQ(session.queue_delays_ms()[1], r.drains[1].dispatch_ms - 1e-6);
+  const std::vector<double> delays = delays_from_drains(r, arrivals);
+  ASSERT_EQ(delays.size(), 6u);
+  EXPECT_EQ(delays[0], 0.0);
+  EXPECT_EQ(delays[1], r.drains[1].dispatch_ms - 1e-6);
+  // The longest wait: q4, the first query of the last wave.
+  EXPECT_EQ(r.queue_delay.max, r.drains[2].dispatch_ms - 1e-6 * 4);
+  expect_exact_summaries(session, arrivals);
 }
 
 // Replays the device clocks from the drain log and checks every wave
@@ -266,8 +356,9 @@ TEST(ServingSession, MultiQueryWaveRetiresEveryQueryWithTheWave) {
   session.flush();
   const ServingReport r = session.report();
   const std::vector<double>& lat = session.latencies_ms();
-  const std::vector<double>& qd = session.queue_delays_ms();
+  const std::vector<double> qd = delays_from_drains(r, trace);
   ASSERT_EQ(lat.size(), trace.size());
+  ASSERT_EQ(qd.size(), trace.size());
   std::size_t first = 0;  // FIFO: drain k serves the next n_queries queries
   std::vector<std::size_t> multi_on(cfg.devices, 0);
   for (std::size_t k = 0; k < r.drains.size(); ++k) {
@@ -289,6 +380,7 @@ TEST(ServingSession, MultiQueryWaveRetiresEveryQueryWithTheWave) {
   EXPECT_EQ(first, trace.size());
   for (std::size_t dev = 0; dev < cfg.devices; ++dev)
     EXPECT_GT(multi_on[dev], 0u) << "device " << dev;
+  expect_exact_summaries(session, trace);
 }
 
 // Past saturation the backlog is what batches: at twice the rate an
@@ -454,11 +546,12 @@ TEST(WaveSchedule, RoundRobinInterleavesWaves) {
             0u);
 }
 
-// The log keeps a 16-byte entry per wave and interns the rest of the
-// record by exact bits: records that differ in one field -- by one ulp, or
-// by the sign of a zero -- read back bit for bit through every accessor,
-// and only a body that differs is stored again. (DrainRecord has no
-// padding, so memcmp compares exactly its fields' bits.)
+// The log keeps a 12-byte entry per wave (dispatch_ms and a body id) and
+// interns the rest of the record, queue_depth_before included, by exact
+// bits: records that differ in one field -- by one ulp, or by the sign of
+// a zero -- read back bit for bit through every accessor, and only a body
+// that differs is stored again. (DrainRecord has no padding, so memcmp
+// compares exactly its fields' bits.)
 static_assert(std::forward_iterator<DrainLogView::iterator>);
 
 TEST(DrainLog, RoundTripsEveryFieldBitForBit) {
@@ -484,10 +577,10 @@ TEST(DrainLog, RoundTripsEveryFieldBitForBit) {
   auto next_up = [](double& x) {
     x = std::nextafter(x, std::numeric_limits<double>::infinity());
   };
-  // The two entry fields: these share base's body.
+  // The entry field: this shares base's body.
   vary([&](DrainRecord& r) { next_up(r.dispatch_ms); });
-  vary([](DrainRecord& r) { ++r.queue_depth_before; });
   // Every body field: each of these is a body of its own.
+  vary([](DrainRecord& r) { ++r.queue_depth_before; });
   vary([&](DrainRecord& r) { next_up(r.transfer_ms); });
   vary([&](DrainRecord& r) { next_up(r.solo_transfer_ms); });
   vary([&](DrainRecord& r) { next_up(r.compute_ms); });
@@ -500,11 +593,37 @@ TEST(DrainLog, RoundTripsEveryFieldBitForBit) {
   vary([](DrainRecord& r) { ++r.switches; });
   vary([](DrainRecord& r) { r.transfer_ms = 0.0; });
   vary([](DrainRecord& r) { r.transfer_ms = -0.0; });  // == 0.0, other bits
+  // A pair of waves that differ only in the queue depth they found: two
+  // bodies, one per depth.
+  vary([](DrainRecord& r) {
+    r.n_queries = 8;
+    r.queue_depth_before = 8;
+  });
+  vary([](DrainRecord& r) {
+    r.n_queries = 8;
+    r.queue_depth_before = 4000;
+  });
   recs.push_back(base);  // a repeat shares base's body too
 
   auto log = std::make_shared<DrainLog>();
-  for (const DrainRecord& r : recs) log->append(r);
+  std::vector<std::uint32_t> ids;
+  for (const DrainRecord& r : recs) ids.push_back(log->append(r));
   const DrainLogView view(log);
+  // Ids are dense, in order of first appearance, and every record built
+  // from an id has that id's service_ms, bit for bit.
+  std::uint32_t next_id = 0;
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    SCOPED_TRACE("record " + std::to_string(k));
+    if (ids[k] == next_id) ++next_id;
+    EXPECT_LT(ids[k], next_id);
+    const double service = log->service_ms(ids[k]);
+    const double expect = recs[k].service_ms();
+    EXPECT_EQ(std::memcmp(&service, &expect, sizeof service), 0);
+  }
+  EXPECT_EQ(ids[1], ids[0]);      // dispatch_ms alone
+  EXPECT_NE(ids[2], ids[0]);      // queue_depth_before alone
+  EXPECT_EQ(ids.back(), ids[0]);  // the repeat
+  EXPECT_EQ(next_id, log->bodies());
   auto same_bits = [](const DrainRecord& a, const DrainRecord& b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
   };
@@ -524,17 +643,17 @@ TEST(DrainLog, RoundTripsEveryFieldBitForBit) {
   ASSERT_EQ(copy.size(), view.size());
   for (std::size_t k = 0; k < copy.size(); ++k)
     EXPECT_TRUE(same_bits(copy[k], view[k])) << "copied record " << k;
-  EXPECT_EQ(view.interned_bodies(), recs.size() - 3);
+  EXPECT_EQ(view.interned_bodies(), recs.size() - 2);
 
   // A view is a prefix: later appends change neither its count nor its
   // bodies.
   DrainRecord later = base;
   next_up(later.compute_ms);
   next_up(later.compute_ms);
-  log->append(later);
+  EXPECT_EQ(log->append(later), recs.size() - 2);  // the next id
   EXPECT_EQ(view.size(), recs.size());
-  EXPECT_EQ(view.interned_bodies(), recs.size() - 3);
-  EXPECT_EQ(DrainLogView(log).interned_bodies(), recs.size() - 2);
+  EXPECT_EQ(view.interned_bodies(), recs.size() - 2);
+  EXPECT_EQ(DrainLogView(log).interned_bodies(), recs.size() - 1);
 }
 
 // At light load every wave is one query on an idle device, so a long
@@ -712,7 +831,7 @@ TEST(ServingSession, ReplaysReuseTheDecision) {
       session.flush();
       return session;
     };
-    auto expect_decided_once = [&](const ServingSession& session,
+    auto expect_decided_once = [&](ServingSession session,
                                    std::size_t executed) {
       const std::vector<double>& lat = session.latencies_ms();
       ASSERT_EQ(lat.size(), 4u);
@@ -804,9 +923,11 @@ TEST(ServingSession, SameTraceSameReport) {
   ServingSession a = run();
   ServingSession b = run();
   EXPECT_EQ(a.latencies_ms(), b.latencies_ms());
-  EXPECT_EQ(a.queue_delays_ms(), b.queue_delays_ms());
   const ServingReport ra = a.report();
   const ServingReport rb = b.report();
+  EXPECT_TRUE(same_summary(ra.latency, rb.latency));
+  EXPECT_TRUE(same_summary(ra.queue_delay, rb.queue_delay));
+  expect_exact_summaries(a, trace);
   ASSERT_EQ(ra.drains.size(), rb.drains.size());
   for (std::size_t i = 0; i < ra.drains.size(); ++i) {
     EXPECT_EQ(ra.drains[i].dispatch_ms, rb.drains[i].dispatch_ms);
@@ -894,6 +1015,105 @@ TEST(SummarizeLatency, MatchesLinearInterpolation) {
   const LatencySummary empty = summarize_latency({});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_EQ(empty.p99, 0.0);
+}
+
+// The runs-based summary report() builds is the reference's, bit for bit:
+// random multisets drawn from a few values (heavy duplicates, +0.0
+// included), split at random into runs -- equal values spread over
+// several runs, as equal service times of different drain bodies are --
+// and singles. Sizes cover n = 1, 2 and 3 and every n in 100..201: up to
+// n = 101 p99 reads the last element (its rank's floor is n - 2), at
+// n = 101 the rank is an order statistic itself, and above it p99 reads
+// two interior ones.
+TEST(SummarizeSorted, RunsAndSinglesMatchTheReference) {
+  std::mt19937_64 rng(2024);
+  const std::vector<double> palette = {0.0,    0.0185, 0.0704, 0.0704,
+                                       0.1,    0.125,  1.0 / 3, 2.5,
+                                       1e-300, 7e5};
+  std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 7, 20, 99, 1000, 4096};
+  for (std::size_t n = 100; n <= 201; ++n) sizes.push_back(n);
+  for (const std::size_t n : sizes)
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE("n " + std::to_string(n) + " trial " +
+                   std::to_string(trial));
+      std::vector<double> values;
+      std::uniform_int_distribution<std::size_t> pick(
+          0, trial % 2 ? palette.size() - 1 : 2);
+      std::uniform_real_distribution<double> any(0.0, 3.0);
+      for (std::size_t i = 0; i < n; ++i)
+        values.push_back(trial == 5 ? any(rng) : palette[pick(rng)]);
+      if (trial == 4)  // mostly +0.0, as queue delays at light load are
+        for (std::size_t i = 0; i < n; i += 1 + i % 3) values[i] = 0.0;
+      // Each value goes to a run of its value or stays a single.
+      std::sort(values.begin(), values.end());
+      std::vector<LatencyRun> runs;
+      std::vector<double> singles;
+      for (double v : values) {
+        const auto r = rng() % 3;
+        if (r == 0) {
+          singles.push_back(v);
+        } else if (r == 1 && !runs.empty() && runs.back().value == v) {
+          ++runs.back().count;
+        } else {
+          runs.push_back({v, 1});
+        }
+      }
+      if (trial == 3) runs.push_back({values.back(), 0});  // an empty run
+      EXPECT_TRUE(same_summary(summarize_sorted(runs, singles),
+                               reference_summary(values)));
+      EXPECT_TRUE(same_summary(summarize_latency(values),
+                               reference_summary(values)));
+    }
+  EXPECT_TRUE(same_summary(summarize_sorted({}, std::vector<double>{}),
+                           LatencySummary{}));
+  const LatencyRun zeros{0.0, 5};
+  EXPECT_TRUE(same_summary(summarize_sorted(std::span(&zeros, 1),
+                                            std::vector<double>{}),
+                           reference_summary(std::vector<double>(5, 0.0))));
+}
+
+// report() sorts the waited queries' records in place, so it must stay
+// exact when called again and after the session serves more: checked on
+// a loaded two-device trace where some queries wait and some do not.
+TEST(ServingSession, RepeatedReportsStayExact) {
+  ServingFixtures f;
+  const QuerySet pc = f.pc_query();
+  const QuerySet nn = f.nn_query();
+  std::vector<double> trace = poisson_trace(200, 40000.0, 9);
+  ServingConfig cfg;
+  cfg.devices = 2;
+  cfg.drain.max_batch = 4;
+  ServingSession session(cfg);
+  std::vector<double> admitted;
+  auto serve = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(session.submit(i % 3 ? pc : nn, trace[i]));
+      admitted.push_back(trace[i]);
+    }
+  };
+  serve(0, 120);
+  session.flush();
+  const ServingReport first = session.report();
+  std::size_t zero_delay = 0;
+  for (double qd : delays_from_drains(first, admitted))
+    zero_delay += qd == 0.0 ? 1 : 0;
+  EXPECT_GT(zero_delay, 0u);
+  EXPECT_LT(zero_delay, admitted.size());
+  expect_exact_summaries(session, admitted);
+  expect_exact_summaries(session, admitted);  // again, records now sorted
+  EXPECT_TRUE(same_summary(session.report().latency, first.latency));
+
+  // More queries, after the reports sorted the earlier records: a report
+  // with some of them still pending, then one after the flush.
+  const double shift = first.last_completion_ms;
+  for (std::size_t i = 120; i < trace.size(); ++i) trace[i] += shift;
+  serve(120, 160);
+  ASSERT_GT(session.pending(), 0u);
+  expect_exact_summaries(session, admitted);
+  serve(160, trace.size());
+  session.flush();
+  expect_exact_summaries(session, admitted);
+  EXPECT_EQ(session.report().completed, trace.size());
 }
 
 // ---------------------------------------------------------------------

@@ -44,6 +44,25 @@ TEST(Percentile, Interpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
 }
 
+// The rank split percentile() reads: order statistics lo and hi around
+// p / 100 * (n - 1), and hi == lo (the largest value) at the top.
+TEST(Percentile, RankSplitsBetweenOrderStatistics) {
+  const PercentileRank mid = percentile_rank(4, 50);  // rank 1.5
+  EXPECT_EQ(mid.lo, 1u);
+  EXPECT_EQ(mid.hi, 2u);
+  EXPECT_EQ(mid.frac, 0.5);
+  EXPECT_EQ(mid.between(20.0, 30.0), 25.0);
+  const PercentileRank top = percentile_rank(4, 100);
+  EXPECT_EQ(top.lo, 3u);
+  EXPECT_EQ(top.hi, 3u);
+  EXPECT_EQ(top.between(40.0, 40.0), 40.0);
+  const PercentileRank one = percentile_rank(1, 99);
+  EXPECT_EQ(one.lo, 0u);
+  EXPECT_EQ(one.hi, 0u);
+  EXPECT_EQ(one.between(-0.0, 1.0), -0.0);
+  EXPECT_TRUE(std::signbit(one.between(-0.0, 1.0)));  // the value itself
+}
+
 TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW(percentile({}, 50), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, -1), std::invalid_argument);

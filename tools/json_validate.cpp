@@ -27,7 +27,11 @@
 //   serving (bench/serving) -- completed + dropped == submitted, per-drain
 //     query counts sum to completed, percentiles are monotone, queue
 //     gauges are non-negative and no drain pays more than its solo
-//     transfer. The totals reconcile exactly with the drains summed in
+//     transfer. Both percentile summaries count every completed query,
+//     each mean lies in [0, max], no queue delay exceeds the largest
+//     latency, and that latency is at least every drain's service_ms (a
+//     query's latency is its queue delay + its wave's service time). The
+//     totals reconcile exactly with the drains summed in
 //     dispatch order: transfer.amortized_ms and summed_solo_ms with their
 //     transfer_ms and solo_transfer_ms, occupancy with their service_ms /
 //     (span_ms x devices); each drain's service_ms is transfer_ms +
@@ -53,6 +57,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/variant.h"
 #include "obs/json.h"
@@ -519,8 +524,9 @@ int check_latency_summary(const std::string& at, const JsonValue& s) {
 // The optional serving block: admission accounting must balance
 // (completed + dropped == submitted, per-drain query counts sum to
 // completed), no drain may exceed drain_policy.max_batch, dispatch times
-// never decrease, both percentile summaries must be monotone, and every
-// queue gauge must be non-negative.
+// never decrease, both percentile summaries must be monotone and agree
+// with the admission accounting and the drains, and every queue gauge
+// must be non-negative.
 int check_serving(const JsonValue& serving) {
   if (!serving.is_object()) return fail("\"serving\" is not an object");
   for (const char* field :
@@ -543,12 +549,32 @@ int check_serving(const JsonValue& serving) {
   if (failed > completed)
     return fail("serving: failed exceeds completed");
 
-  if (int rc = check_latency_summary("serving.latency_ms",
-                                     *serving.find("latency_ms")))
-    return rc;
-  if (int rc = check_latency_summary("serving.queue_delay_ms",
-                                     *serving.find("queue_delay_ms")))
-    return rc;
+  const JsonValue& latency = *serving.find("latency_ms");
+  const JsonValue& delay = *serving.find("queue_delay_ms");
+  for (const auto& [at, s] : {std::pair{"serving.latency_ms", &latency},
+                              std::pair{"serving.queue_delay_ms", &delay}}) {
+    if (int rc = check_latency_summary(at, *s)) return rc;
+    // Every completed query has a latency and a queue delay.
+    const std::uint64_t count = s->find("count")->as_uint();
+    if (count != completed)
+      return fail(std::string(at) + ".count " + std::to_string(count) +
+                  " is not completed " + std::to_string(completed));
+    // A mean of non-negative values no larger than max, up to the rounding
+    // of its running sum: at most about count ulps of max.
+    const double mean = s->find("mean")->as_number();
+    const double mx = s->find("max")->as_number();
+    const double slack = static_cast<double>(count) * 0x1p-52;
+    if (!(mean >= 0 && mean <= mx * (1 + slack)))
+      return fail(std::string(at) + ".mean " + tt::obs::json_number(mean) +
+                  " is outside [0, max " + tt::obs::json_number(mx) + "]");
+  }
+  // A query's latency is its queue delay + its wave's service time.
+  const double latency_max = latency.find("max")->as_number();
+  const double delay_max = delay.find("max")->as_number();
+  if (delay_max > latency_max)
+    return fail("serving.queue_delay_ms.max " +
+                tt::obs::json_number(delay_max) + " exceeds latency_ms.max " +
+                tt::obs::json_number(latency_max));
 
   const JsonValue* queue = serving.find("queue");
   if (!queue->is_object()) return fail("serving.queue: not an object");
@@ -620,6 +646,12 @@ int check_serving(const JsonValue& serving) {
       return fail(at + ": service_ms " + tt::obs::json_number(service) +
                   " is not transfer_ms + compute_ms = " +
                   tt::obs::json_number(transfer + compute));
+    // Each of the drain's queries took at least its service time.
+    if (latency_max < service)
+      return fail("serving.latency_ms.max " +
+                  tt::obs::json_number(latency_max) + " is below drains[" +
+                  std::to_string(i) + "].service_ms " +
+                  tt::obs::json_number(service));
     if (d.find("cold_launches")->as_uint() > d.find("queries")->as_uint())
       return fail(at + ": cold_launches exceed queries");
     amortized += transfer;
