@@ -1,15 +1,16 @@
 // google-benchmark microbenchmarks of the substrate hot paths: the
-// coalescing model, the L2 simulator, warp-memory commit, tree builds,
-// the CPU-side traversal executors and a replayed serving wave. These
-// guard the *simulator's own* performance (host seconds per simulated
-// event), which bounds how large an input the experiment binaries can
-// afford.
+// coalescing model, the L2 simulator, warp-memory commit, input synthesis,
+// tree builds, the CPU-side traversal executors and a replayed serving
+// wave. These guard the *simulator's own* performance (host seconds per
+// simulated event), which bounds how large an input the experiment
+// binaries can afford.
 #include <benchmark/benchmark.h>
 
 #include "bench_algos/pc/point_correlation.h"
 #include "core/cpu_executors.h"
 #include "core/serving.h"
 #include "data/generators.h"
+#include "data/projection.h"
 #include "simt/coalescing.h"
 #include "simt/l2cache.h"
 #include "simt/warp_memory.h"
@@ -133,6 +134,59 @@ void BM_CommitStackPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommitStackPush);
+
+// Input synthesis (DESIGN.md section 2), the bulk of a kernel's set-up:
+// a mnist-like point draws 796 normals, a covtype-like one 54, and both
+// project to 7-d. Wall time per call, on the OpenMP team the environment
+// gives (OMP_NUM_THREADS).
+void BM_GenMnistLike(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    PointSet p = gen_mnist_like(n, 7, 5);
+    benchmark::DoNotOptimize(p.plane(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GenMnistLike)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_GenCovtypeLike(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    PointSet p = gen_covtype_like(n, 7, 5);
+    benchmark::DoNotOptimize(p.plane(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GenCovtypeLike)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The 784-d -> 7-d projection of the mnist-like generator alone.
+void BM_RandomProjection(benchmark::State& state) {
+  constexpr int kInDim = 784;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<float> data(n * kInDim);
+  Pcg32 rng(6);
+  for (float& v : data) v = rng.next_float();
+  for (auto _ : state) {
+    PointSet p = random_projection(data, n, kInDim, 7, 7);
+    benchmark::DoNotOptimize(p.plane(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RandomProjection)
+    ->Arg(8192)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BuildKdTree(benchmark::State& state) {
   PointSet pts = gen_covtype_like(static_cast<std::size_t>(state.range(0)), 7, 4);

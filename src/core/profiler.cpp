@@ -9,6 +9,10 @@ double traversal_jaccard(std::vector<NodeId> a, std::vector<NodeId> b) {
   a.erase(std::unique(a.begin(), a.end()), a.end());
   std::sort(b.begin(), b.end());
   b.erase(std::unique(b.begin(), b.end()), b.end());
+  return sorted_jaccard(a, b);
+}
+
+double sorted_jaccard(std::span<const NodeId> a, std::span<const NodeId> b) {
   if (a.empty() && b.empty()) return 1.0;
   std::size_t inter = 0, i = 0, j = 0;
   while (i < a.size() && j < b.size()) {

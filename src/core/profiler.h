@@ -26,6 +26,8 @@
 // there and large on spatially sorted inputs.
 #pragma once
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -46,6 +48,9 @@ namespace tt {
 // Jaccard similarity of two visited-node id sets (inputs need not be
 // sorted; they are copied and sorted internally).
 double traversal_jaccard(std::vector<NodeId> a, std::vector<NodeId> b);
+// The same for sets already sorted ascending without repeats; it copies
+// nothing.
+double sorted_jaccard(std::span<const NodeId> a, std::span<const NodeId> b);
 
 // One sampled warp: points [first_point, first_point + lanes) of the
 // launch, one lane each, run as the launch would run that warp.
@@ -100,26 +105,15 @@ struct SampledAccess {
   std::uint32_t bytes = 0;
 };
 
-// The sampler's memory recorder: resolves each load against the launch's
-// address space and appends it to `out`; records nothing without a space.
-class AccessRecorder {
- public:
-  AccessRecorder(const GpuAddressSpace* space, std::vector<SampledAccess>& out)
-      : space_(space), out_(&out) {}
-  void lane_load(int, BufferId buf, std::uint64_t idx) {
-    if (space_)
-      out_->push_back({buf, space_->addr(buf, idx),
-                       static_cast<std::uint32_t>(space_->elem_bytes(buf))});
-  }
-  void lane_load_raw(int, std::uint64_t addr, std::uint32_t bytes) {
-    if (space_) out_->push_back({kStackGroup, addr, bytes});
-  }
-  std::uint64_t commit() { return 0; }
-
- private:
-  const GpuAddressSpace* space_;
-  std::vector<SampledAccess>* out_;
-};
+// The sampler's workers fill buffers the calling thread owns and sizes,
+// so no worker allocates: glibc keeps a block a worker allocates in that
+// thread's own arena, out of reach of the calling thread's later
+// allocations. Appends `x` to `v`, beyond its reserved capacity only when
+// `may_grow` (on the calling thread); a worker drops what does not fit.
+template <class T>
+void append_reserved(std::vector<T>& v, const T& x, bool may_grow) {
+  if (may_grow || v.size() < v.capacity()) v.push_back(x);
+}
 
 // One node visit of a recorded lane. Its loads are acc[loads_begin,
 // children_begin) and, when it descended, its children's loads
@@ -133,23 +127,70 @@ struct LaneVisit {
 };
 
 // One point's traversal (autoropes semantics), with the loads of each
-// phase: init's loads are acc[0, init_end).
+// phase: init's loads are acc[0, init_end). Recorded on a worker, it
+// fills only the capacity the calling thread reserved: `acc_wanted` and
+// `visits_wanted` count what the traversal produced, and a record that
+// did not fit is not complete() until grown and recorded again.
 struct LaneRecord {
   std::vector<SampledAccess> acc;
   std::uint32_t init_end = 0;
   std::vector<LaneVisit> visits;
+  std::uint32_t acc_wanted = 0, visits_wanted = 0;
+
+  bool complete() const {
+    return acc.size() == acc_wanted && visits.size() == visits_wanted;
+  }
+};
+
+// The sampler's memory recorder: resolves each load against the launch's
+// address space and appends it to the record; records nothing without a
+// space.
+class AccessRecorder {
+ public:
+  AccessRecorder(const GpuAddressSpace* space, LaneRecord& r, bool may_grow)
+      : space_(space), r_(&r), may_grow_(may_grow) {}
+  void lane_load(int, BufferId buf, std::uint64_t idx) {
+    if (space_)
+      add({buf, space_->addr(buf, idx),
+           static_cast<std::uint32_t>(space_->elem_bytes(buf))});
+  }
+  void lane_load_raw(int, std::uint64_t addr, std::uint32_t bytes) {
+    if (space_) add({kStackGroup, addr, bytes});
+  }
+  std::uint64_t commit() { return 0; }
+
+ private:
+  void add(const SampledAccess& a) {
+    ++r_->acc_wanted;
+    append_reserved(r_->acc, a, may_grow_);
+  }
+  const GpuAddressSpace* space_;
+  LaneRecord* r_;
+  bool may_grow_;
 };
 
 template <TraversalKernel K>
-LaneRecord record_lane(const K& k, std::uint32_t pid,
-                       const GpuAddressSpace* space) {
-  LaneRecord r;
-  AccessRecorder mem(space, r.acc);
-  const auto at = [&r] { return static_cast<std::uint32_t>(r.acc.size()); };
+using DfsStack = std::vector<Child<typename K::UArg, typename K::LArg>>;
+
+// Record point `pid`'s traversal into `out`, within its reserved
+// capacity unless `may_grow` (see LaneRecord). `stack` is the DFS stack;
+// it holds what a rope stack would, so once reserved to the kernel's
+// stack_bound() it never grows. The buffers are moved to locals for the
+// walk, so threads recording neighbouring lanes never write one cache
+// line.
+template <TraversalKernel K>
+void record_lane(const K& k, std::uint32_t pid, const GpuAddressSpace* space,
+                 LaneRecord& out, DfsStack<K>& stack, bool may_grow) {
+  LaneRecord r = std::move(out);
+  DfsStack<K> stk = std::move(stack);
+  r.acc.clear();
+  r.visits.clear();
+  r.acc_wanted = r.visits_wanted = 0;
+  AccessRecorder mem(space, r, may_grow);
   typename K::State st = k.init(pid, mem, 0);
-  r.init_end = at();
-  std::vector<Child<typename K::UArg, typename K::LArg>> stk;
-  Child<typename K::UArg, typename K::LArg> out[K::kFanout];
+  r.init_end = r.acc_wanted;
+  stk.clear();
+  Child<typename K::UArg, typename K::LArg> kids[K::kFanout];
   stk.push_back({k.root(), k.root_uarg(), k.root_larg()});
   while (!stk.empty()) {
     const auto top = stk.back();
@@ -157,19 +198,21 @@ LaneRecord record_lane(const K& k, std::uint32_t pid,
     LaneVisit v;
     v.node = top.node;
     v.level = static_cast<std::uint32_t>(stk.size());
-    v.loads_begin = at();
+    v.loads_begin = r.acc_wanted;
     v.descended = k.visit(top.node, top.uarg, top.larg, st, mem, 0);
-    v.children_begin = at();
+    v.children_begin = r.acc_wanted;
     if (v.descended) {
       const int cs = K::kNumCallSets > 1 ? k.choose_callset(top.node, st) : 0;
-      const int cnt = k.children(top.node, top.uarg, cs, st, out, mem, 0);
-      for (int i = cnt - 1; i >= 0; --i) stk.push_back(out[i]);
+      const int cnt = k.children(top.node, top.uarg, cs, st, kids, mem, 0);
+      for (int i = cnt - 1; i >= 0; --i) stk.push_back(kids[i]);
       v.children = static_cast<std::uint32_t>(cnt);
     }
-    v.end = at();
-    r.visits.push_back(v);
+    v.end = r.acc_wanted;
+    ++r.visits_wanted;
+    append_reserved(r.visits, v, may_grow);
   }
-  return r;
+  out = std::move(r);
+  stack = std::move(stk);
 }
 
 // One modelled commit of a warp, issued in WarpMemory::commit's order:
@@ -182,6 +225,16 @@ class CommitModel {
  public:
   CommitModel(std::uint32_t segment_bytes, bool elide)
       : tb_(segment_bytes), elide_(elide) {}
+
+  // Room for commits of up to `entries` accesses whose loads each cover
+  // up to `segments` segments.
+  void reserve(std::size_t entries, std::size_t segments) {
+    pending_.reserve(entries);
+    keys_.reserve(entries);
+    group_.reserve(entries);
+    load_.reserve(kMaxLoadAccesses);
+    segs_.reserve(segments);
+  }
 
   void add(std::uint32_t lane, const SampledAccess& a) {
     pending_.push_back({a, lane});
@@ -260,25 +313,75 @@ class CommitModel {
 // launches registered their arenas in the address space first.
 inline constexpr std::uint64_t kSampledStackBase = std::uint64_t{1} << 40;
 
+// A lane's visit, in the lockstep union traversal's node order.
+struct UnionVisit {
+  NodeId node;
+  std::uint32_t lane, visit;
+};
+
+// What modelling one segment stream fills: the commit model, the union
+// order (lockstep) and the segments. reserve() sizes them on the calling
+// thread for a run's records, so the worker modelling the stream
+// allocates nothing: a commit holds at most every lane's loads of one
+// visit plus a stack slot per pushed child (or all lanes' init loads), an
+// access of b bytes covers at most b / segment + 2 segments, and the
+// stream adds each recorded access at most once plus a slot per visit
+// and per child. A bound that falls short costs an allocation, never a
+// different price. Cache-line aligned, so the two streams' threads never
+// write one line.
+template <TraversalKernel K>
+struct alignas(64) StreamScratch {
+  CommitModel model;
+  std::vector<UnionVisit> order;
+  std::vector<std::uint64_t> segments;
+
+  explicit StreamScratch(const DeviceConfig& cfg)
+      : model(static_cast<std::uint32_t>(cfg.transaction_bytes),
+              kernel_shares_node_loads<K>) {}
+
+  void reserve(std::span<const LaneRecord> lanes, const DeviceConfig& cfg) {
+    std::size_t init = 0, acc = 0, visits = 0, widest_visit = 0;
+    std::uint32_t widest_access =
+        std::max(arena_entry_bytes<K>(false), arena_entry_bytes<K>(true));
+    for (const LaneRecord& r : lanes) {
+      init += r.init_end;
+      acc += r.acc.size();
+      visits += r.visits.size();
+      for (const LaneVisit& v : r.visits)
+        widest_visit =
+            std::max<std::size_t>(widest_visit, v.end - v.loads_begin);
+      for (const SampledAccess& a : r.acc)
+        widest_access = std::max(widest_access, a.bytes);
+    }
+    const auto tb = static_cast<std::size_t>(cfg.transaction_bytes);
+    const std::size_t span = widest_access / tb + 2;
+    const std::size_t per_visit = widest_visit + 1 + K::kFanout;
+    model.reserve(std::max(init, lanes.size() * per_visit),
+                  lanes.size() * span);
+    order.reserve(visits);
+    segments.reserve((acc + visits * (1 + K::kFanout)) * span);
+  }
+};
+
 // One of the two segment streams of a sampled warp (SampledWarp), from
-// its lanes' records; both open the chunk with every lane's init loads.
-// Non-lockstep (LoopHeadReconvergence over LaneRopeStack, into
-// nolockstep_segments): step t pops every live lane's t-th entry, then
-// commits those visits' loads, then their children's loads with the
-// pushes; it reads w.longest. Lockstep (WarpAndTruncation over a
-// shared-memory WarpStack, into lockstep_segments and callset_votes): the
-// union of the lanes' visit sets in node-id order -- the left-biased DFS
-// order an unguided union traversal pops -- each node committing its
-// lanes' loads, then the first descending lane's children loads; kernels
-// with per-lane arguments add their interleaved argument-plane reads and
-// writes. The two streams write disjoint members of `w`, so they can be
-// modelled concurrently.
+// its lanes' records, into s.segments; both open the chunk with every
+// lane's init loads. Non-lockstep (LoopHeadReconvergence over
+// LaneRopeStack, for nolockstep_segments): step t pops every live lane's
+// t-th entry, then commits those visits' loads, then their children's
+// loads with the pushes; it reads w.longest. Lockstep (WarpAndTruncation
+// over a shared-memory WarpStack, for lockstep_segments; it counts
+// w.callset_votes): the union of the lanes' visit sets in node-id order
+// -- the left-biased DFS order an unguided union traversal pops -- each
+// node committing its lanes' loads, then the first descending lane's
+// children loads; kernels with per-lane arguments add their interleaved
+// argument-plane reads and writes. The lockstep stream writes only
+// w.callset_votes and the other reads none of it, so the two can be
+// modelled concurrently, each on its own scratch.
 template <TraversalKernel K>
 void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
                        const DeviceConfig& cfg, bool lockstep,
-                       SampledWarp& w) {
-  CommitModel m(static_cast<std::uint32_t>(cfg.transaction_bytes),
-                kernel_shares_node_loads<K>);
+                       SampledWarp& w, StreamScratch<K>& s) {
+  CommitModel& m = s.model;
   const auto ws = static_cast<std::uint32_t>(cfg.warp_size);
   // The warp's arena region, at the offset a one-chunk-per-warp grid
   // gives it: spans need not be segment multiples, so where a region
@@ -293,8 +396,8 @@ void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
         entry};
   };
   const auto n_lanes = static_cast<std::uint32_t>(lanes.size());
-  std::vector<std::uint64_t>& out =
-      lockstep ? w.lockstep_segments : w.nolockstep_segments;
+  std::vector<std::uint64_t>& out = s.segments;
+  out.clear();
   for (std::uint32_t l = 0; l < n_lanes; ++l)
     m.add(l, lanes[l], 0, lanes[l].init_end);
   m.commit(out);
@@ -324,19 +427,16 @@ void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
     return;
   }
 
-  struct At {
-    NodeId node;
-    std::uint32_t lane, visit;
-  };
-  std::vector<At> order;
-  order.reserve(w.lane_visits);
+  std::vector<UnionVisit>& order = s.order;
+  order.clear();
   for (std::uint32_t l = 0; l < n_lanes; ++l)
     for (std::uint32_t t = 0; t < lanes[l].visits.size(); ++t)
       order.push_back({lanes[l].visits[t].node, l, t});
-  std::sort(order.begin(), order.end(), [](const At& a, const At& b) {
-    return a.node != b.node ? a.node < b.node : a.lane < b.lane;
-  });
-  auto visit_of = [&](const At& a) -> const LaneVisit& {
+  std::sort(order.begin(), order.end(),
+            [](const UnionVisit& a, const UnionVisit& b) {
+              return a.node != b.node ? a.node < b.node : a.lane < b.lane;
+            });
+  auto visit_of = [&](const UnionVisit& a) -> const LaneVisit& {
     return lanes[a.lane].visits[a.visit];
   };
   for (std::size_t i = 0; i < order.size();) {
@@ -354,7 +454,9 @@ void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
     const auto leader =
         std::find_if(order.begin() + static_cast<std::ptrdiff_t>(i),
                      order.begin() + static_cast<std::ptrdiff_t>(j),
-                     [&](const At& a) { return visit_of(a).descended; });
+                     [&](const UnionVisit& a) {
+                       return visit_of(a).descended;
+                     });
     if (leader != order.begin() + static_cast<std::ptrdiff_t>(j)) {
       if constexpr (K::kNumCallSets > 1) ++w.callset_votes;
       const LaneVisit& v = visit_of(*leader);
@@ -377,7 +479,9 @@ void model_warp_stream(const K& k, std::span<const LaneRecord> lanes,
 // Record the node ids one point's traversal visits (autoropes semantics).
 template <TraversalKernel K>
 std::vector<NodeId> record_traversal(const K& k, std::uint32_t pid) {
-  const detail::LaneRecord r = detail::record_lane(k, pid, nullptr);
+  detail::LaneRecord r;
+  detail::DfsStack<K> stk;
+  detail::record_lane(k, pid, nullptr, r, stk, true);
   std::vector<NodeId> visited;
   visited.reserve(r.visits.size());
   for (const detail::LaneVisit& v : r.visits) visited.push_back(v.node);
@@ -433,20 +537,51 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
   // Run by run, record the lanes and then model the run's two streams on
   // the OpenMP team; only one run's records are held at a time, and every
   // item writes only its own slot, so the report is byte-identical for any
-  // thread count. The similarity pairs below need each lane's node ids.
+  // thread count. The workers fill buffers this thread owns and sizes,
+  // kept from run to run (append_reserved): each lane record gets room
+  // for the largest lane recorded so far, and one that still did not fit
+  // is recorded again once grown. The similarity pairs below need each
+  // lane's node ids.
   r.traversal_visits.reserve(total);
   std::vector<std::vector<NodeId>> nodes;  // per lane
   nodes.reserve(total);
-  std::vector<detail::LaneRecord> run;
+  std::vector<detail::LaneRecord> run(std::min(run_cap, total));
+  std::vector<detail::DfsStack<K>> stacks(run.size());
+  for (detail::DfsStack<K>& stk : stacks)
+    stk.reserve(static_cast<std::size_t>(k.stack_bound()));
+  std::vector<std::uint32_t> todo, again;
+  todo.reserve(run.size());
+  again.reserve(run.size());
+  std::uint32_t most_acc = 0, most_visits = 0;
+  detail::StreamScratch<K> streams[2] = {detail::StreamScratch<K>(cfg),
+                                         detail::StreamScratch<K>(cfg)};
   std::vector<NodeId> all;
   for (SampledWarp& sw : r.warps) {
-    run.resize(sw.lanes);
+    const std::span<const detail::LaneRecord> lanes(run.data(), sw.lanes);
+    todo.clear();
+    for (std::uint32_t l = 0; l < sw.lanes; ++l) todo.push_back(l);
+    while (!todo.empty()) {
+      for (const std::uint32_t l : todo) {
+        run[l].acc.reserve(most_acc);
+        run[l].visits.reserve(most_visits);
+      }
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::int64_t l = 0; l < static_cast<std::int64_t>(sw.lanes); ++l)
-      run[static_cast<std::size_t>(l)] = detail::record_lane(
-          k, sw.first_point + static_cast<std::uint32_t>(l), space);
+      for (std::int64_t j = 0; j < static_cast<std::int64_t>(todo.size());
+           ++j) {
+        const std::uint32_t l = todo[static_cast<std::size_t>(j)];
+        detail::record_lane(k, sw.first_point + l, space, run[l], stacks[l],
+                            omp_get_thread_num() == 0);
+      }
+      again.clear();
+      for (const std::uint32_t l : todo) {
+        most_acc = std::max(most_acc, run[l].acc_wanted);
+        most_visits = std::max(most_visits, run[l].visits_wanted);
+        if (!run[l].complete()) again.push_back(l);
+      }
+      todo.swap(again);
+    }
     all.clear();
-    for (const detail::LaneRecord& lr : run) {
+    for (const detail::LaneRecord& lr : lanes) {
       std::vector<NodeId>& seen = nodes.emplace_back();
       for (const detail::LaneVisit& v : lr.visits) seen.push_back(v.node);
       const auto visits = static_cast<std::uint32_t>(seen.size());
@@ -459,16 +594,26 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
     sw.union_visits = static_cast<std::uint64_t>(
         std::unique(all.begin(), all.end()) - all.begin());
     if (space) {
+      for (detail::StreamScratch<K>& s : streams) s.reserve(lanes, cfg);
 #pragma omp parallel for schedule(dynamic, 1)
       for (int lockstep = 0; lockstep < 2; ++lockstep)
-        detail::model_warp_stream(k, run, cfg, lockstep == 1, sw);
+        detail::model_warp_stream(k, lanes, cfg, lockstep == 1, sw,
+                                  streams[lockstep]);
+      sw.nolockstep_segments = streams[0].segments;
+      sw.lockstep_segments = streams[1].segments;
     }
     r.sampled_visits += sw.lane_visits;
   }
 
   // The similarity pairs, each scored on its own slot and summed in pair
   // order: the adjacent (pid, pid + 1) pairs, then the random-pair
-  // baseline.
+  // baseline. Each lane's ids are sorted into a set first, in place.
+#pragma omp parallel for schedule(dynamic, 1)
+  for (std::int64_t l = 0; l < static_cast<std::int64_t>(nodes.size()); ++l) {
+    std::vector<NodeId>& ids = nodes[static_cast<std::size_t>(l)];
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t s = 0; s < samples; ++s)
     pairs.emplace_back(2 * s, 2 * s + 1);
@@ -484,8 +629,7 @@ ProfileReport profile_similarity(const K& k, std::size_t samples,
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::int64_t p = 0; p < static_cast<std::int64_t>(pairs.size()); ++p) {
     const auto [a, b] = pairs[static_cast<std::size_t>(p)];
-    jaccard[static_cast<std::size_t>(p)] =
-        traversal_jaccard(nodes[a], nodes[b]);
+    jaccard[static_cast<std::size_t>(p)] = sorted_jaccard(nodes[a], nodes[b]);
   }
   double adjacent = 0;
   for (std::size_t p = 0; p < samples; ++p) adjacent += jaccard[p];

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "data/draw_rows.h"
 #include "data/projection.h"
 #include "util/rng.h"
 
@@ -11,6 +12,14 @@ namespace tt {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+// Pcg32 steps of draws that do not reject: a next_double takes two, and
+// normals come in Box-Muller pairs of two doubles, so an even count of
+// normals takes two steps each and leaves no cached variate.
+constexpr std::uint64_t kDoubleSteps = 2;
+constexpr std::uint64_t normal_steps(int even_count) {
+  return 2 * static_cast<std::uint64_t>(even_count);
+}
 
 // Uniform direction on the unit sphere.
 void sphere_dir(Pcg32& rng, double out[3]) {
@@ -97,20 +106,21 @@ PointSet gen_covtype_like(std::size_t n, int out_dim, std::uint64_t seed) {
   const double weights[kClusters] = {0.36, 0.49, 0.06, 0.01, 0.02, 0.03, 0.03};
 
   std::vector<float> raw(n * kInDim);
-  for (std::size_t i = 0; i < n; ++i) {
-    double u = rng.next_double(), acc = 0.0;
-    int c = kClusters - 1;
-    for (int k = 0; k < kClusters; ++k) {
-      acc += weights[k];
-      if (u < acc) {
-        c = k;
-        break;
-      }
-    }
-    for (int d = 0; d < kInDim; ++d)
-      raw[i * kInDim + d] =
-          static_cast<float>(center[c][d] + rng.normal() * sigma[c][d]);
-  }
+  draw_rows(rng, n, kDoubleSteps + normal_steps(kInDim),
+            [&](Pcg32& g, std::size_t i) {
+              double u = g.next_double(), acc = 0.0;
+              int c = kClusters - 1;
+              for (int k = 0; k < kClusters; ++k) {
+                acc += weights[k];
+                if (u < acc) {
+                  c = k;
+                  break;
+                }
+              }
+              for (int d = 0; d < kInDim; ++d)
+                raw[i * kInDim + d] = static_cast<float>(
+                    center[c][d] + g.normal() * sigma[c][d]);
+            });
   return random_projection(raw, n, kInDim, out_dim, seed ^ 0xc0417e);
 }
 
@@ -130,31 +140,42 @@ LabeledPoints gen_mnist_like_labeled(std::size_t n, int out_dim,
 
   // Per-class frame: origin + latent basis. Basis entries are sparse-ish to
   // keep generation at O(latent * in_dim) but the images still overlap.
+  // The origins' rows are drawn first, then the bases', kInDim normals a
+  // row.
   std::vector<float> origin(kClasses * kInDim);
   std::vector<float> basis(kClasses * kLatent * kInDim);
-  for (auto& v : origin) v = static_cast<float>(rng.normal() * 1.5);
-  for (auto& v : basis) v = static_cast<float>(rng.normal() * 0.6);
+  draw_rows(rng, kClasses * (1 + kLatent), normal_steps(kInDim),
+            [&](Pcg32& g, std::size_t r) {
+              const bool is_origin = r < kClasses;
+              float* v = is_origin ? &origin[r * kInDim]
+                                   : &basis[(r - kClasses) * kInDim];
+              const double scale = is_origin ? 1.5 : 0.6;
+              for (int d = 0; d < kInDim; ++d)
+                v[d] = static_cast<float>(g.normal() * scale);
+            });
 
+  // A point: its class, then its latent coordinates and pixel noise.
   std::vector<float> raw(n * kInDim);
-  std::vector<float> latent(kLatent);
   std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    int c = static_cast<int>(rng.next_below(kClasses));
-    labels[i] = c;
-    for (int l = 0; l < kLatent; ++l)
-      latent[l] = static_cast<float>(rng.normal());
-    const float* o = &origin[static_cast<std::size_t>(c) * kInDim];
-    const float* bmat =
-        &basis[static_cast<std::size_t>(c) * kLatent * kInDim];
-    float* row = &raw[i * kInDim];
-    for (int d = 0; d < kInDim; ++d) row[d] = o[d];
-    for (int l = 0; l < kLatent; ++l) {
-      const float* brow = bmat + static_cast<std::size_t>(l) * kInDim;
-      for (int d = 0; d < kInDim; ++d) row[d] += latent[l] * brow[d];
-    }
-    for (int d = 0; d < kInDim; ++d)
-      row[d] += static_cast<float>(rng.normal() * 0.05);
-  }
+  draw_rows(rng, n, 1 + normal_steps(kLatent + kInDim),
+            [&](Pcg32& g, std::size_t i) {
+              int c = static_cast<int>(g.next_below(kClasses));
+              labels[i] = c;
+              float latent[kLatent];
+              for (int l = 0; l < kLatent; ++l)
+                latent[l] = static_cast<float>(g.normal());
+              const float* o = &origin[static_cast<std::size_t>(c) * kInDim];
+              const float* bmat =
+                  &basis[static_cast<std::size_t>(c) * kLatent * kInDim];
+              float* row = &raw[i * kInDim];
+              for (int d = 0; d < kInDim; ++d) row[d] = o[d];
+              for (int l = 0; l < kLatent; ++l) {
+                const float* brow = bmat + static_cast<std::size_t>(l) * kInDim;
+                for (int d = 0; d < kInDim; ++d) row[d] += latent[l] * brow[d];
+              }
+              for (int d = 0; d < kInDim; ++d)
+                row[d] += static_cast<float>(g.normal() * 0.05);
+            });
   return {random_projection(raw, n, kInDim, out_dim, seed ^ 0x3a157),
           std::move(labels)};
 }

@@ -6,6 +6,7 @@
 // statistical quality, cheap enough to sit inside generator inner loops.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -25,11 +26,41 @@ class Pcg32 {
 
   std::uint32_t next_u32() {
     std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMult + inc_;
     auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
     auto rot = static_cast<std::uint32_t>(old >> 59u);
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
+
+  // Jump `delta` steps ahead, to the state `delta` next_u32() calls would
+  // leave, in O(log delta) (Brown, "Random number generation with
+  // arbitrary strides", 1994): the LCG's delta-fold composition is again
+  // an affine map, built by squaring. A cached normal() variate stays.
+  void advance(std::uint64_t delta) {
+    std::uint64_t mult = kMult, plus = inc_;
+    std::uint64_t acc_mult = 1, acc_plus = 0;
+    for (; delta != 0; delta >>= 1) {
+      if (delta & 1u) {
+        acc_mult *= mult;
+        acc_plus = acc_plus * mult + plus;
+      }
+      plus *= mult + 1;
+      mult *= mult;
+    }
+    state_ = acc_mult * state_ + acc_plus;
+  }
+
+  bool has_cached_normal() const { return has_cached_normal_; }
+
+  // Same stream at the same position with the same cached variate, so
+  // both generators draw the same values from here on.
+  friend bool operator==(const Pcg32& a, const Pcg32& b) {
+    return a.state_ == b.state_ && a.inc_ == b.inc_ &&
+           a.has_cached_normal_ == b.has_cached_normal_ &&
+           (!a.has_cached_normal_ ||
+            std::bit_cast<std::uint64_t>(a.cached_normal_) ==
+                std::bit_cast<std::uint64_t>(b.cached_normal_));
   }
 
   std::uint64_t next_u64() {
@@ -79,6 +110,8 @@ class Pcg32 {
   result_type operator()() { return next_u32(); }
 
  private:
+  static constexpr std::uint64_t kMult = 6364136223846793005ULL;
+
   std::uint64_t state_;
   std::uint64_t inc_;
   double cached_normal_ = 0.0;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace tt {
@@ -94,6 +96,63 @@ TEST(Pcg32, WorksWithStdShuffle) {
   std::sort(sorted.begin(), sorted.end());
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sorted[i], i);
   EXPECT_FALSE(std::is_sorted(v.begin(), v.end()));  // astronomically unlikely
+}
+
+TEST(Pcg32, AdvanceEqualsStepping) {
+  for (std::uint64_t k : {0ull, 1ull, 2ull, 63ull, 64ull, 65ull, 1000ull,
+                          1ull << 20}) {
+    Pcg32 jumped(42, 9), stepped(42, 9);
+    jumped.advance(k);
+    for (std::uint64_t i = 0; i < k; ++i) stepped.next_u32();
+    EXPECT_TRUE(jumped == stepped) << "k = " << k;
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(jumped.next_u32(), stepped.next_u32()) << "k = " << k;
+  }
+}
+
+TEST(Pcg32, AdvancesCompose) {
+  const std::uint64_t a = 0x9e3779b97f4a7c15ull, b = 0x7f4a7c159e3779b9ull;
+  Pcg32 twice(3, 17), once(3, 17);
+  twice.advance(a);
+  twice.advance(b);
+  once.advance(a + b);  // wraps mod 2^64, the LCG's period
+  EXPECT_TRUE(twice == once);
+  EXPECT_EQ(twice.next_u32(), once.next_u32());
+
+  Pcg32 round_trip(3, 17);
+  round_trip.advance(~0ull);
+  round_trip.advance(1);
+  EXPECT_TRUE(round_trip == Pcg32(3, 17));
+}
+
+TEST(Pcg32, AdvanceKeepsTheCachedNormal) {
+  Pcg32 jumped(11), stepped(11);
+  (void)jumped.normal();
+  (void)stepped.normal();
+  ASSERT_TRUE(jumped.has_cached_normal());
+  jumped.advance(1000);
+  for (int i = 0; i < 1000; ++i) stepped.next_u32();
+  EXPECT_TRUE(jumped.has_cached_normal());
+  EXPECT_TRUE(jumped == stepped);
+  // The cached variate first, then a fresh pair from the jumped stream.
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(jumped.normal()),
+              std::bit_cast<std::uint64_t>(stepped.normal()));
+}
+
+TEST(Pcg32, EqualityComparesPositionAndCache) {
+  Pcg32 a(1, 2), b(1, 2);
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == Pcg32(1, 3));  // another stream
+  b.next_u32();
+  EXPECT_FALSE(a == b);
+  a.next_u32();
+  EXPECT_TRUE(a == b);
+  (void)a.normal();  // four steps and a cached variate
+  b.advance(4);
+  EXPECT_FALSE(a == b);
+  (void)a.normal();
+  EXPECT_TRUE(a == b);
 }
 
 }  // namespace
